@@ -7,6 +7,9 @@ with no shared code paths, so agreement with the package is meaningful.
 from __future__ import annotations
 
 import itertools
+import random
+
+from cubecolor.search import SELF_CHECK_PERIOD, SearchConfig
 
 
 def naive_distance(u: int, v: int) -> int:
@@ -47,3 +50,98 @@ def naive_is_valid(n: int, k: int, classes) -> bool:
             if naive_distance(u, v) <= k:
                 return False
     return sorted(seen) == list(range(1 << n))
+
+
+def reference_tabu_run(
+    color_of: list[int],
+    num_colors: int,
+    neighbors: tuple[tuple[int, ...], ...],
+    frozen: frozenset[int],
+    rng: random.Random,
+    config: SearchConfig,
+) -> tuple[list[int], int, int]:
+    """The tabu kernel as first written: every (vertex, color) pair every iteration.
+
+    Kept verbatim as the bit-exact reference for search._tabu_run; returns
+    (best_colors, best_conflicts, iters) and draws from rng identically.
+
+    Each iteration moves one conflicted, non-frozen vertex to the color that
+    minimizes the resulting conflict count over non-tabu moves; a tabu move is
+    admitted only if it would beat the best conflict count ever seen
+    (aspiration).  Ties are broken uniformly at random from rng, which is the
+    run's only source of randomness besides the initial assignment.  If every
+    move is tabu and none aspirates, the best move ignoring tabu is taken so
+    the search always progresses.
+    """
+    size = len(color_of)
+    gamma = [[0] * (num_colors + 1) for _ in range(size)]
+    for v in range(size):
+        gv = gamma[v]
+        for u in neighbors[v]:
+            gv[color_of[u]] += 1
+    conflicts = sum(gamma[v][color_of[v]] for v in range(size)) // 2
+
+    best_conflicts = conflicts
+    best_colors = list(color_of)
+    tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
+    base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
+
+    it = 0
+    while it < config.max_iterations and conflicts > 0:
+        it += 1
+        best_delta: int | None = None
+        ties: list[tuple[int, int]] = []
+        fb_delta: int | None = None
+        fb_ties: list[tuple[int, int]] = []
+        for v in range(size):
+            if v in frozen:
+                continue
+            gv = gamma[v]
+            cv = color_of[v]
+            own = gv[cv]
+            if own == 0:
+                continue
+            tv = tabu_until[v]
+            for c in range(1, num_colors + 1):
+                if c == cv:
+                    continue
+                delta = gv[c] - own
+                if fb_delta is None or delta < fb_delta:
+                    fb_delta = delta
+                    fb_ties = [(v, c)]
+                elif delta == fb_delta:
+                    fb_ties.append((v, c))
+                if tv[c] >= it and conflicts + delta >= best_conflicts:
+                    continue
+                if best_delta is None or delta < best_delta:
+                    best_delta = delta
+                    ties = [(v, c)]
+                elif delta == best_delta:
+                    ties.append((v, c))
+        if not ties:
+            if not fb_ties:
+                break  # no movable vertex at all (e.g. K = 1 or everything frozen)
+            best_delta, ties = fb_delta, fb_ties
+        v, c = ties[0] if len(ties) == 1 else rng.choice(ties)
+
+        old = color_of[v]
+        tabu_until[v][old] = it + int(base + slope * conflicts)
+        color_of[v] = c
+        for u in neighbors[v]:
+            gu = gamma[u]
+            gu[old] -= 1
+            gu[c] += 1
+        conflicts += best_delta
+
+        if conflicts < best_conflicts:
+            best_conflicts = conflicts
+            best_colors = list(color_of)
+
+        if config.self_check and it % SELF_CHECK_PERIOD == 0:
+            recount = sum(color_of[u] == color_of[v] for v in range(size) for u in neighbors[v])
+            recount //= 2
+            if recount != conflicts:
+                raise AssertionError(
+                    f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
+                )
+    return best_colors, best_conflicts, it

@@ -1,5 +1,6 @@
 """Greedy, DSATUR, tabu search, and dimension lifting."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 from cubecolor.coloring import coloring_from_classes, verify_coloring
+from cubecolor.files import save_coloring
+from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params, ball_size
 from cubecolor.search import (
     Assignment,
+    _neighbor_table,
+    _tabu_run,
     SearchConfig,
     assignment_from_coloring,
     conflict_count,
@@ -237,3 +242,84 @@ def test_extend_double_always_valid_on_random_bases(seed):
     out = extend_to_higher_dim(base, "double")
     assert out.conflicts == 0
     assert verify_coloring(out.best.to_coloring()).valid
+
+
+# Golden trajectories: (conflicts, iterations_used, restarts_used, seed_used,
+# sha256 of the saved best coloring).  A kernel change that alters which
+# coloring a seed reaches, or how fast, fails here.  The first three match
+# perfbench/pins.json; the last two spend most iterations in the forced
+# fallback move (every move tabu, none aspirating): 1968 and 815 of 2000.
+GOLDEN_TRAJECTORIES = {
+    "q8k14-s3000": (
+        lambda: tabu_search(
+            Params(8, 2, 14), SearchConfig(rng_seed=3000, max_iterations=30_000, restarts=29)
+        ),
+        [0, 3388, 0, 3000, "17c7ec110198ca4ffa844c47b46ee0450e3efb0493eb5e66e29a47d2a8fd0c61"],
+    ),
+    "q9-freeze16-s5": (
+        lambda: extend_to_higher_dim(
+            q8_square_13_coloring(),
+            "freeze-subcube",
+            num_colors=16,
+            config=SearchConfig(rng_seed=5, max_iterations=100_000),
+        ),
+        [0, 3748, 0, 5, "86ddbdb20f022c7bef7ba025452a7c1afce6302cb2fc3884f03e7ef3892e5607"],
+    ),
+    "q10k40-s0": (
+        lambda: tabu_search(Params(10, 2, 40), SearchConfig(rng_seed=0, max_iterations=5_000)),
+        [0, 372, 0, 0, "60e36c71be71c9bca752dee10954f6152375265357874cb764f389d387da9df2"],
+    ),
+    "q4k3-fallback": (
+        lambda: tabu_search(
+            Params(4, 2, 3),
+            SearchConfig(rng_seed=1, max_iterations=2_000, tabu_tenure_base=1000),
+        ),
+        [18, 2000, 0, 1, "fbc64db2e4d92d543fcbbc68791b60bb8a304ff380ffe7f3f5dae8eacfc6ba09"],
+    ),
+    "q5k4-fallback": (
+        lambda: tabu_search(
+            Params(5, 2, 4),
+            SearchConfig(
+                rng_seed=3, max_iterations=2_000, tabu_tenure_base=50, tabu_tenure_slope=2.0
+            ),
+        ),
+        [32, 2000, 0, 3, "442e21784b12614ffba75c7e945eb3bfb1bed787bf95bee6fb82c6634afed976"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectory(name):
+    run, expected = GOLDEN_TRAJECTORIES[name]
+    out = run()
+    digest = hashlib.sha256(save_coloring(out.best.to_coloring()).encode()).hexdigest()
+    assert [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest] == expected
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_tabu_kernel_matches_reference(seed):
+    # Same instance, same rng seed: the kernel must pick the same moves as the
+    # naive full scan, so colors, counts and the rng state all agree.  A large
+    # tenure base keeps most moves tabu, which exercises the forced fallback.
+    rng = random.Random(seed)
+    n = rng.randrange(3, 7)
+    k = rng.randrange(1, 3)
+    num = rng.randrange(1, 7)
+    size = 1 << n
+    colors = [rng.randrange(1, num + 1) for _ in range(size)]
+    frozen_share = rng.choice((0.0, 0.3, 0.9))
+    frozen = frozenset(v for v in range(size) if rng.random() < frozen_share)
+    config = SearchConfig(
+        max_iterations=rng.randrange(1, 400),
+        tabu_tenure_base=rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
+        tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
+        frozen=frozen,
+    )
+    neighbors = _neighbor_table(n, k)
+    run_seed = rng.randrange(10**9)
+    fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
+    fast = _tabu_run(list(colors), num, neighbors, frozen, fast_rng, config)
+    ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozen, ref_rng, config)
+    assert fast == ref
+    assert fast_rng.getstate() == ref_rng.getstate()
