@@ -219,58 +219,63 @@ def _tabu_run(
     admitted only if it would beat the best conflict count ever seen
     (aspiration).  Ties are broken uniformly at random from rng, which is the
     run's only source of randomness besides the initial assignment.  If every
-    move is tabu and none aspirates, the best move ignoring tabu is taken so
-    the search always progresses.
+    move is tabu and none aspirates, a second pass over the same state takes
+    the best move ignoring tabu, so the search always progresses.
+
+    gamma[v][c] counts v's neighbors of color c.  Slot 0 (no vertex has color
+    0) and, while v is scanned, slot color_of[v] hold a sentinel above every
+    count, so min(gamma[v]) - own is v's best delta.  A vertex whose best
+    delta exceeds the pass's best so far is skipped: the best only falls and
+    tabu only removes moves, so it could add no tie.  The tie list, in
+    (vertex, color) order, equals that of a scan of every pair.
     """
     size = len(color_of)
+    sentinel = 2 * size  # a masked slot's delta stays above best_delta <= size
     gamma = [[0] * (num_colors + 1) for _ in range(size)]
     for v in range(size):
         gv = gamma[v]
         for u in neighbors[v]:
             gv[color_of[u]] += 1
+        gv[0] = sentinel
     conflicts = sum(gamma[v][color_of[v]] for v in range(size)) // 2
 
     best_conflicts = conflicts
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
     base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
+    movable = [v for v in range(size) if v not in frozen]
 
     it = 0
     while it < config.max_iterations and conflicts > 0:
         it += 1
-        best_delta: int | None = None
-        ties: list[tuple[int, int]] = []
-        fb_delta: int | None = None
-        fb_ties: list[tuple[int, int]] = []
-        for v in range(size):
-            if v in frozen:
-                continue
-            gv = gamma[v]
-            cv = color_of[v]
-            own = gv[cv]
-            if own == 0:
-                continue
-            tv = tabu_until[v]
-            for c in range(1, num_colors + 1):
-                if c == cv:
+        for strict in (True, False):
+            best_delta = size  # above every real delta
+            ties: list[tuple[int, int]] = []
+            for v in movable:
+                gv = gamma[v]
+                cv = color_of[v]
+                own = gv[cv]
+                if own == 0:
                     continue
-                delta = gv[c] - own
-                if fb_delta is None or delta < fb_delta:
-                    fb_delta = delta
-                    fb_ties = [(v, c)]
-                elif delta == fb_delta:
-                    fb_ties.append((v, c))
-                if tv[c] >= it and conflicts + delta >= best_conflicts:
-                    continue
-                if best_delta is None or delta < best_delta:
-                    best_delta = delta
-                    ties = [(v, c)]
-                elif delta == best_delta:
-                    ties.append((v, c))
+                gv[cv] = sentinel
+                if min(gv) - own <= best_delta:
+                    tv = tabu_until[v]
+                    for c, g in enumerate(gv):
+                        delta = g - own
+                        if delta > best_delta or (
+                            strict and tv[c] >= it and conflicts + delta >= best_conflicts
+                        ):
+                            continue
+                        if delta < best_delta:
+                            best_delta = delta
+                            ties = [(v, c)]
+                        else:
+                            ties.append((v, c))
+                gv[cv] = own
+            if ties:
+                break
         if not ties:
-            if not fb_ties:
-                break  # no movable vertex at all (e.g. K = 1 or everything frozen)
-            best_delta, ties = fb_delta, fb_ties
+            break  # no movable vertex at all (e.g. K = 1 or everything frozen)
         v, c = ties[0] if len(ties) == 1 else rng.choice(ties)
 
         old = color_of[v]
