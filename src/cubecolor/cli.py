@@ -1,7 +1,8 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 success (for verify/search: valid / zero conflicts), 1 for "ran
-fine but the coloring is invalid / conflicts remain", 2 for structural
+Exit codes: 0 success (for verify/search: valid / zero conflicts within
+--colors), 1 for "ran fine but the coloring is invalid / conflicts remain /
+more colors than --colors were used", 2 for structural
 problems (parse errors, unknown values, bad flags).  The distinction lets
 scripts drive restart sweeps without confusing "try again" with "broken".
 """
@@ -12,9 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import SOURCE_TABLE, UnknownCodeSizeError, chromatic_lower_bound, default_table
+from .bounds import SOURCE_TABLE, chromatic_lower_bound, default_table
 from .coloring import class_stats, fingerprint, verify_coloring
-from .files import ColoringParseError, load_coloring, save_coloring
+from .files import load_coloring, save_coloring
 from .fixture import q8_square_13_coloring
 from .hamming import Params
 from .sat import (
@@ -96,7 +97,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"algorithm: {args.algo}")
         print(f"colors used: {used}" + (" (above target)" if used > args.colors else ""))
         print("conflicts: 0")
-        return 0
+        return 0 if used <= args.colors else 1
     init = None
     if args.init is not None:
         base = _load(args.init)
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("search", help="heuristic coloring; exit 0 iff zero conflicts")
+    p = sub.add_parser("search", help="heuristic coloring; exit 0 iff a proper K-coloring is found")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
@@ -234,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ColoringParseError, UnknownCodeSizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # includes ColoringParseError, UnknownCodeSizeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

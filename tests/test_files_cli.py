@@ -163,6 +163,21 @@ def test_cli_search_greedy_and_dsatur(tmp_path, capsys):
         assert verify_coloring(load_coloring(out_path.read_text())).valid
 
 
+def test_cli_search_dsatur_above_target_exits_1_but_writes(tmp_path, capsys):
+    # DSATUR needs 17 colors on Q_8^2; the file is still written, since it is
+    # a valid coloring, but a count above --colors is reported as a miss.
+    out_path = tmp_path / "q8_dsatur.txt"
+    rc = main(
+        ["search", "--n", "8", "--k", "2", "--colors", "16", "--algo", "dsatur",
+         "--out", str(out_path)]
+    )
+    assert rc == 1
+    assert "colors used: 17 (above target)" in capsys.readouterr().out
+    col = load_coloring(out_path.read_text())
+    assert len(col.classes) == 17
+    assert verify_coloring(col).valid
+
+
 def test_cli_search_with_init(q3_file, tmp_path, capsys):
     out_path = tmp_path / "out.txt"
     rc = main(
