@@ -184,6 +184,10 @@ def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) 
         value, status = exact_max_code_size(n, d)
         if status == STATUS_EXACT:
             return ChromaticBound(packing_lower_bound(n, k, value), SOURCE_EXACT, value)
+        raise UnknownCodeSizeError(
+            f"A({n},{d}) is unknown: not in the table and the exact search exhausted its"
+            f" {DEFAULT_NODE_BUDGET}-node budget (best code found: {value} words)"
+        )
     raise UnknownCodeSizeError(
         f"A({n},{d}) is unknown: not in the table and out of exact-search range"
     )

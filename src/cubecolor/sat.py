@@ -19,6 +19,11 @@ SYMMETRY_FIX_VERTEX_0 = "fix-vertex-0"
 SYMMETRY_FIX_CLIQUE = "fix-clique"
 SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 
+#: Largest formula encode_coloring_cnf builds.  The clauses are held as
+#: tuples and written out as one string, about 240 bytes per clause at peak
+#: (2.0M clauses took 483 MiB), so this keeps an encode near 1 GiB.
+MAX_CLAUSES = 4_000_000
+
 
 class ModelDecodeError(ValueError):
     """A model leaves some vertex without a true color variable."""
@@ -77,6 +82,9 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
         raise ValueError("encoding needs params.num_colors")
     if params.n > 16:
         raise ValueError("encoding supports n <= 16 (variable count must stay desk-scale)")
+    count = expected_clause_count(params, options)
+    if count > MAX_CLAUSES:
+        raise ValueError(f"encoding would build {count} clauses, above the limit of {MAX_CLAUSES}")
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
 
@@ -144,6 +152,14 @@ def write_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    """The tokens as integers; a bad token's error names its line."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; inverse of write_dimacs on its own output."""
     comments: list[str] = []
@@ -163,12 +179,11 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed problem line {raw!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = _ints(parts[2:], lineno)
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _ints(line.split(), lineno):
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -228,14 +243,11 @@ def parse_solver_model(text: str) -> set[int]:
     become true variables, negatives are recorded as false by omission.
     """
     true_vars: set[int] = set()
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "cs":
             continue
         if line.startswith("v"):
             line = line[1:].strip()
-        for tok in line.split():
-            lit = int(tok)
-            if lit > 0:
-                true_vars.add(lit)
+        true_vars.update(lit for lit in _ints(line.split(), lineno) if lit > 0)
     return true_vars

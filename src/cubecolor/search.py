@@ -9,6 +9,7 @@ comes from per-restart seeded generators.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -18,8 +19,8 @@ from .hamming import Params, neighbors_within
 #: color_of entry for a vertex that has not been assigned yet.
 UNASSIGNED = 0
 
-#: Iterations between recounts of the incremental conflict tally in
-#: self-check mode.
+#: Iterations between recounts of the incremental conflict tally and the
+#: conflicted-vertex list in self-check mode.
 SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
@@ -141,6 +142,17 @@ def _count_conflicts(color_of: list[int], neighbors: tuple[tuple[int, ...], ...]
     return total
 
 
+def _conflicted_vertices(
+    color_of: list[int], neighbors: tuple[tuple[int, ...], ...], frozen: frozenset[int]
+) -> list[int]:
+    """Non-frozen vertices with a same-colored neighbor, ascending."""
+    return [
+        v
+        for v, nb in enumerate(neighbors)
+        if v not in frozen and any(color_of[u] == color_of[v] for u in nb)
+    ]
+
+
 def conflict_count(a: Assignment) -> int:
     """Number of unordered same-color pairs at distance 1..k."""
     if not a.is_complete():
@@ -222,12 +234,16 @@ def _tabu_run(
     move is tabu and none aspirates, a second pass over the same state takes
     the best move ignoring tabu, so the search always progresses.
 
-    gamma[v][c] counts v's neighbors of color c.  Slot 0 (no vertex has color
-    0) and, while v is scanned, slot color_of[v] hold a sentinel above every
-    count, so min(gamma[v]) - own is v's best delta.  A vertex whose best
-    delta exceeds the pass's best so far is skipped: the best only falls and
-    tabu only removes moves, so it could add no tie.  The tie list, in
-    (vertex, color) order, equals that of a scan of every pair.
+    gamma[v][c] counts v's neighbors of color c.  conflicted holds, in
+    ascending order, exactly the non-frozen v with gamma[v][color_of[v]] > 0;
+    each move updates it for the moved vertex and its neighbors, the only
+    rows that change.  Slot 0 (no vertex has color 0) and, while v is
+    scanned, slot color_of[v] hold a sentinel above every count, so
+    min(gamma[v]) - own is v's best delta.  A vertex whose best delta
+    exceeds the pass's best so far is skipped: the best only falls and tabu
+    only removes moves, so it could add no tie.  Because conflicted is
+    ascending, the tie list, in (vertex, color) order, equals that of a scan
+    of every pair.
     """
     size = len(color_of)
     sentinel = 2 * size  # a masked slot's delta stays above best_delta <= size
@@ -238,12 +254,12 @@ def _tabu_run(
             gv[color_of[u]] += 1
         gv[0] = sentinel
     conflicts = sum(gamma[v][color_of[v]] for v in range(size)) // 2
+    conflicted = _conflicted_vertices(color_of, neighbors, frozen)
 
     best_conflicts = conflicts
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
     base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
-    movable = [v for v in range(size) if v not in frozen]
 
     it = 0
     while it < config.max_iterations and conflicts > 0:
@@ -251,12 +267,10 @@ def _tabu_run(
         for strict in (True, False):
             best_delta = size  # above every real delta
             ties: list[tuple[int, int]] = []
-            for v in movable:
+            for v in conflicted:
                 gv = gamma[v]
                 cv = color_of[v]
                 own = gv[cv]
-                if own == 0:
-                    continue
                 gv[cv] = sentinel
                 if min(gv) - own <= best_delta:
                     tv = tabu_until[v]
@@ -285,6 +299,13 @@ def _tabu_run(
             gu = gamma[u]
             gu[old] -= 1
             gu[c] += 1
+            cu = color_of[u]
+            if cu == old and gu[old] == 0 and u not in frozen:
+                del conflicted[bisect_left(conflicted, u)]
+            elif cu == c and gu[c] == 1 and u not in frozen:
+                insort(conflicted, u)
+        if gamma[v][c] == 0:
+            del conflicted[bisect_left(conflicted, v)]
         conflicts += best_delta
 
         if conflicts < best_conflicts:
@@ -297,6 +318,8 @@ def _tabu_run(
                 raise AssertionError(
                     f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
                 )
+            if _conflicted_vertices(color_of, neighbors, frozen) != conflicted:
+                raise AssertionError(f"conflicted-vertex list out of date at iteration {it}")
     return best_colors, best_conflicts, it
 
 

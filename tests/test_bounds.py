@@ -3,11 +3,14 @@
 import pytest
 
 import oracles
+from cubecolor import bounds
 from cubecolor.bounds import (
+    DEFAULT_NODE_BUDGET,
     SOURCE_EXACT,
     SOURCE_TABLE,
     STATUS_EXACT,
     STATUS_TIMEOUT,
+    CodeSizeResult,
     KnownValueTable,
     TableEntry,
     UnknownCodeSizeError,
@@ -137,3 +140,17 @@ def test_chromatic_lower_bound_prefers_custom_table():
 def test_chromatic_lower_bound_unknown_raises():
     with pytest.raises(UnknownCodeSizeError):
         chromatic_lower_bound(13, 2, table=KnownValueTable({}))
+
+
+def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
+    # n = 10 is inside the exact-search range; running out of nodes there is
+    # a budget matter, not a range matter.  The real search takes ~100 s.
+    monkeypatch.setattr(
+        bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)
+    )
+    with pytest.raises(UnknownCodeSizeError) as exc:
+        chromatic_lower_bound(10, 2, table=KnownValueTable({}))
+    message = str(exc.value)
+    assert f"exhausted its {DEFAULT_NODE_BUDGET}-node budget" in message
+    assert "best code found: 60 words" in message
+    assert "out of exact-search range" not in message

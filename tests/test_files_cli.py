@@ -251,6 +251,17 @@ def test_cli_decode_model_incomplete_is_error(tmp_path, capsys):
     assert "no true color" in capsys.readouterr().err
 
 
+def test_cli_decode_model_bad_token_names_the_line(tmp_path, capsys):
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("s SATISFIABLE\nv 1 -2 x 0\n")
+    rc = main(
+        ["decode-model", "--n", "3", "--k", "2", "--colors", "4",
+         "--model", str(model_path), "--out", str(tmp_path / "x.txt")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: line 2: invalid literal for int()")
+
+
 def test_cli_stats(q3_file, capsys):
     assert main(["stats", q3_file]) == 0
     out = capsys.readouterr().out

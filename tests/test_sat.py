@@ -10,6 +10,7 @@ from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.hamming import Params
 from cubecolor.search import greedy_color
 from cubecolor.sat import (
+    MAX_CLAUSES,
     CnfFormula,
     EncodeOptions,
     ModelDecodeError,
@@ -58,6 +59,15 @@ def test_encode_requires_color_count_and_small_n():
         encode_coloring_cnf(Params(3, 2))
     with pytest.raises(ValueError):
         encode_coloring_cnf(Params(17, 2, 4))
+
+
+def test_encode_rejects_oversized_formula_before_building_it():
+    # (16,2,20) is 89,194,496 clauses; the check runs on the closed form, so
+    # this returns at once instead of allocating gigabytes of tuples.
+    params = Params(16, 2, 20)
+    assert expected_clause_count(params) == 89_194_496 > MAX_CLAUSES
+    with pytest.raises(ValueError, match="89194496 clauses"):
+        encode_coloring_cnf(params)
 
 
 def test_encode_tiny_instance_exact_clauses():
@@ -125,6 +135,19 @@ def test_parse_dimacs_rejects_malformed(text):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("c x\np cnf 2 1\n1 x 0\n", 3),  # bad literal in a clause
+        ("p cnf two 1\n1 0\n", 1),  # non-integer variable count
+        ("p cnf 2 1.0\n1 0\n", 1),  # non-integer clause count
+    ],
+)
+def test_parse_dimacs_names_the_line_of_a_bad_integer(text, lineno):
+    with pytest.raises(ValueError, match=f"^line {lineno}: invalid literal for int"):
+        parse_dimacs(text)
+
+
 def test_valid_coloring_satisfies_plain_formula():
     f = encode_coloring_cnf(Q3_PARAMS)
     assert evaluate(f, coloring_to_model(Q3_COLORING))
@@ -171,6 +194,13 @@ def test_parse_solver_model_conventions():
     assert parse_solver_model(text) == {1, 5, 9}
     assert parse_solver_model("1 -2 3 0\n") == {1, 3}
     assert parse_solver_model("") == set()
+
+
+def test_parse_solver_model_names_the_line_of_a_bad_token():
+    with pytest.raises(ValueError, match="^line 3: invalid literal for int.*'x'"):
+        parse_solver_model("s SATISFIABLE\nv 1 2\nv 3 x 0\n")
+    with pytest.raises(ValueError, match="^line 1: "):
+        parse_solver_model("1 -2 3.5 0\n")
 
 
 @given(st.integers(0, 10**6))
