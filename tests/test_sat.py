@@ -1,5 +1,6 @@
 """CNF encoding, DIMACS round trip, model decoding."""
 
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,25 @@ def test_dimacs_format_shape():
     assert lines[3] == "p cnf 4 4"
     assert lines[4] == "1 2 0"
     assert text.endswith("0\n")
+
+
+@pytest.mark.parametrize(
+    "n,k,colors,amo,symmetry,digest",
+    [
+        (4, 2, 5, False, "none", "b73e966a84004e5a07c95ba97a8bf8fad71ebc65648ceddbef9ddf58e46fc7c4"),
+        (4, 2, 5, False, "fix-clique", "576815501a2823140017d663c54b23f3397a059ae751caa81b4302d99b7b3eeb"),
+        (5, 3, 9, True, "fix-clique", "afe755471eea723a7969bad1cabcce63d43b9ed7672675bed156869adab49bad"),
+        (6, 2, 8, True, "fix-vertex-0", "d3786a83c4e1b23078bc5d3571336409a15c14e5f64c3f281cd3462a8b63c35d"),
+        (5, 0, 2, False, "none", "15754a993317682a46a9db19f9123231b9972acff5ab6d7ec34b2cd21a19bead"),
+    ],
+)
+def test_dimacs_bytes_are_pinned(n, k, colors, amo, symmetry, digest):
+    # Clause order is part of the encoder's contract: any change to how the
+    # conflict pairs, at-most-one pairs or symmetry units are enumerated
+    # changes these hashes.
+    options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
+    text = write_dimacs(encode_coloring_cnf(Params(n, k, colors), options))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
