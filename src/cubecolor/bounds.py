@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+from .hamming import Params, ball_masks
+
 # Exact search is desk-scale only; beyond this the conflict graph and the
 # search tree stop being laptop material.
 MAX_EXACT_DIMENSION = 12
@@ -88,19 +90,9 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     are exactly the words of weight >= d.  A node is one include/exclude
     decision; exceeding the budget returns the best size found so far.
     """
-    size = 1 << n
-    adj = [0] * size
-    for v in range(size):
-        mask = 0
-        for u in range(size):
-            if u != v and (u ^ v).bit_count() < d:
-                mask |= 1 << u
-        adj[v] = mask
-
-    pool0 = 0
-    for u in range(1, size):
-        if u.bit_count() >= d:
-            pool0 |= 1 << u
+    masks = ball_masks(n, d - 1)
+    adj = [sum(1 << (v ^ m) for m in masks) for v in range(1 << n)]
+    pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
 
     best = 1
     nodes = 0
@@ -170,6 +162,7 @@ def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) 
     computation.  If neither applies, UnknownCodeSizeError is raised: a
     silently weaker bound would be worse than no answer.
     """
+    Params(n, k)  # ValueError naming the range, as for every other command
     if table is None:
         table = default_table()
     d = k + 1

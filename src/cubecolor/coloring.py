@@ -80,10 +80,7 @@ def min_distance(c: CodeClass) -> int | float:
     The sentinel (never a magic finite number) keeps singleton and empty
     classes, which occur mid-search, unambiguous.
     """
-    ws = c.sorted_words()
-    if len(ws) <= 1:
-        return INFINITE_DISTANCE
-    return min(hamming_distance(u, v) for u, v in combinations(ws, 2))
+    return class_stats(c).min_distance
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ class ClassStats:
 
     weight_distribution[w] counts words of weight w (length n+1);
     distance_distribution[d] counts unordered pairs at distance d (length n+1,
-    index 0 unused).
+    index 0 unused).  min_distance is the first nonzero index of
+    distance_distribution, INFINITE_DISTANCE when there is none.
     """
 
     size: int
@@ -107,12 +105,11 @@ def class_stats(c: CodeClass) -> ClassStats:
     for w in c.words:
         weights[w.bit_count()] += 1
     distances = [0] * (n + 1)
-    ws = c.sorted_words()
-    for u, v in combinations(ws, 2):
+    for u, v in combinations(c.words, 2):
         distances[hamming_distance(u, v)] += 1
     return ClassStats(
-        size=len(ws),
-        min_distance=min_distance(c),
+        size=len(c),
+        min_distance=next((d for d, count in enumerate(distances) if count), INFINITE_DISTANCE),
         weight_distribution=tuple(weights),
         distance_distribution=tuple(distances),
     )
@@ -141,9 +138,12 @@ class VerifyReport:
 def verify_coloring(col: Coloring) -> VerifyReport:
     """Check that col partitions {0,1}^n into codes of minimum distance >= k+1.
 
-    Checking is all-pairs per class, O(sum M_i^2): at desk scale (2^8 words)
-    this is instant and trivially auditable.  Every violation carries its
-    witness words; per-class stats are filled even for invalid colorings.
+    Checking is all-pairs per class, O(sum M_i^2), rather than a probe of each
+    word's radius-k ball: the per-class stats need every pair's distance for
+    their histogram anyway, so a ball probe would add a walk without removing
+    one.  Only a class whose histogram shows a pair at distance <= k is walked
+    again, to name its witness pairs.  Every violation carries its witness
+    words; per-class stats are filled even for invalid colorings.
     """
     check_structure(col)
     n, k = col.params.n, col.params.k
@@ -161,12 +161,14 @@ def verify_coloring(col: Coloring) -> VerifyReport:
         if w not in first_seen:
             violations.append(Violation("missing-word", (w,)))
 
-    for idx, c in enumerate(col.classes, start=1):
+    stats = tuple(class_stats(c) for c in col.classes)
+    for idx, (c, s) in enumerate(zip(col.classes, stats), start=1):
+        if s.min_distance > k:
+            continue
         for u, v in combinations(c.sorted_words(), 2):
             if hamming_distance(u, v) <= k:
                 violations.append(Violation("distance-violation", (u, v), (idx,)))
 
-    stats = tuple(class_stats(c) for c in col.classes)
     return VerifyReport(valid=not violations, violations=tuple(violations), per_class=stats)
 
 

@@ -66,6 +66,19 @@ def ball_size(n: int, r: int) -> int:
     return sum(comb(n, i) for i in range(r + 1))
 
 
+def ball_masks(n: int, r: int) -> list[int]:
+    """The words of weight 1..r, in ascending order; empty for r = 0.
+
+    Q_n^k is the Cayley graph of Z_2^n generated by ball_masks(n, k): the
+    neighbors of v are exactly v ^ m for these m.  Its length is
+    ball_size(n, r) - 1.
+    """
+    if not 0 <= r <= n:
+        raise ValueError(f"radius must be in 0..{n}, got {r}")
+    bits = [1 << i for i in range(n)]
+    return sorted([sum(c) for w in range(1, r + 1) for c in combinations(bits, w)])
+
+
 def neighbors_within(v: int, params: Params) -> list[int]:
     """All words u != v with d(u, v) <= k, in ascending order.
 
@@ -75,14 +88,7 @@ def neighbors_within(v: int, params: Params) -> list[int]:
     if not 1 <= k <= n:
         raise ValueError(f"power k must be in 1..n={n}, got {k}")
     check_word(v, n)
-    out = []
-    for r in range(1, k + 1):
-        for positions in combinations(range(n), r):
-            u = v
-            for i in positions:
-                u ^= 1 << i
-            out.append(u)
-    return sorted(out)
+    return sorted([v ^ m for m in ball_masks(n, k)])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
-from .hamming import Params, ball_size, neighbors_within
+from .hamming import Params, ball_masks, ball_size
 
 SYMMETRY_NONE = "none"
 SYMMETRY_FIX_VERTEX_0 = "fix-vertex-0"
@@ -92,8 +92,9 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     for v in range(size):
         clauses.append(tuple(var_index(v, c, num_colors) for c in range(1, num_colors + 1)))
 
+    masks = ball_masks(n, k)
     for u in range(size):
-        for v in neighbors_within(u, params) if k >= 1 else ():
+        for v in sorted(u ^ m for m in masks):
             if v < u:
                 continue
             for c in range(1, num_colors + 1):
@@ -107,10 +108,7 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     if options.symmetry == SYMMETRY_FIX_VERTEX_0:
         clauses.append((var_index(0, 1, num_colors),))
     elif options.symmetry == SYMMETRY_FIX_CLIQUE:
-        radius = k // 2
-        clique = sorted(
-            w for w in range(size) if w.bit_count() <= radius
-        )  # pairwise distances <= 2*radius <= k
+        clique = [0, *ball_masks(n, k // 2)]  # pairwise distances <= 2*(k//2) <= k
         if num_colors < len(clique):
             raise ValueError(
                 f"fix-clique needs at least {len(clique)} colors, got {num_colors}"

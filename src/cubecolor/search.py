@@ -1,9 +1,10 @@
 """Heuristic construction of colorings: greedy, DSATUR, tabu search, lifting.
 
-All heuristics work on Q_n^k through one shared neighbor table.  The tabu
-search is a fixed-K conflict-minimization scheme in the TabuCol family; it is
-bit-exactly reproducible from (params, config, init) because all randomness
-comes from per-restart seeded generators.
+All heuristics walk Q_n^k as a Cayley graph: the neighbors of v are v ^ m
+for the masks m of hamming.ball_masks(n, k), so no per-vertex table is ever
+built.  The tabu search is a fixed-K conflict-minimization scheme in the
+TabuCol family; it is bit-exactly reproducible from (params, config, init)
+because all randomness comes from per-restart seeded generators.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
-from .hamming import Params, neighbors_within
+from .hamming import Params, ball_masks
 
 #: color_of entry for a vertex that has not been assigned yet.
 UNASSIGNED = 0
@@ -25,15 +25,6 @@ SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
 STRATEGY_FREEZE_SUBCUBE = "freeze-subcube"
-
-
-@lru_cache(maxsize=32)
-def _neighbor_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """neighbors of every vertex in Q_n^k, ascending; empty lists for k = 0."""
-    if k == 0:
-        return tuple(() for _ in range(1 << n))
-    params = Params(n, k)
-    return tuple(tuple(neighbors_within(v, params)) for v in range(1 << n))
 
 
 @dataclass
@@ -131,25 +122,22 @@ class SearchOutcome:
     seed_used: int
 
 
-def _count_conflicts(color_of: list[int], neighbors: tuple[tuple[int, ...], ...]) -> int:
-    # Count each unordered pair once via u < v.
+def _count_conflicts(color_of: list[int], masks: list[int]) -> int:
+    # Every conflicting pair is seen once from each end.
     total = 0
-    for v, nb in enumerate(neighbors):
-        cv = color_of[v]
-        for u in nb:
-            if u > v and color_of[u] == cv:
+    for v, cv in enumerate(color_of):
+        for m in masks:
+            if color_of[v ^ m] == cv:
                 total += 1
-    return total
+    return total // 2
 
 
-def _conflicted_vertices(
-    color_of: list[int], neighbors: tuple[tuple[int, ...], ...], frozen: frozenset[int]
-) -> list[int]:
+def _conflicted_vertices(color_of: list[int], masks: list[int], frozen: frozenset[int]) -> list[int]:
     """Non-frozen vertices with a same-colored neighbor, ascending."""
     return [
         v
-        for v, nb in enumerate(neighbors)
-        if v not in frozen and any(color_of[u] == color_of[v] for u in nb)
+        for v, cv in enumerate(color_of)
+        if v not in frozen and any(color_of[v ^ m] == cv for m in masks)
     ]
 
 
@@ -157,7 +145,7 @@ def conflict_count(a: Assignment) -> int:
     """Number of unordered same-color pairs at distance 1..k."""
     if not a.is_complete():
         raise ValueError("assignment has unassigned vertices")
-    return _count_conflicts(a.color_of, _neighbor_table(a.params.n, a.params.k))
+    return _count_conflicts(a.color_of, ball_masks(a.params.n, a.params.k))
 
 
 def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
@@ -171,10 +159,10 @@ def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
         order = list(range(size))
     if sorted(order) != list(range(size)):
         raise ValueError("order is not a permutation of the vertex set")
-    neighbors = _neighbor_table(params.n, params.k)
+    masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
     for v in order:
-        used = {color_of[u] for u in neighbors[v] if color_of[u] != UNASSIGNED}
+        used = {color_of[v ^ m] for m in masks}  # UNASSIGNED is never a color
         c = 1
         while c in used:
             c += 1
@@ -189,10 +177,10 @@ def dsatur_color(params: Params) -> Coloring:
     smaller vertex value, making the run fully deterministic.
     """
     size = params.num_words
-    neighbors = _neighbor_table(params.n, params.k)
+    masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
     saturation: list[set[int]] = [set() for _ in range(size)]
-    uncolored_degree = [len(nb) for nb in neighbors]
+    uncolored_degree = [len(masks)] * size
 
     for _ in range(size):
         best_v = -1
@@ -209,7 +197,8 @@ def dsatur_color(params: Params) -> Coloring:
         while c in used:
             c += 1
         color_of[best_v] = c
-        for u in neighbors[best_v]:
+        for m in masks:
+            u = best_v ^ m
             if color_of[u] == UNASSIGNED:
                 saturation[u].add(c)
                 uncolored_degree[u] -= 1
@@ -219,7 +208,7 @@ def dsatur_color(params: Params) -> Coloring:
 def _tabu_run(
     color_of: list[int],
     num_colors: int,
-    neighbors: tuple[tuple[int, ...], ...],
+    masks: list[int],
     frozen: frozenset[int],
     rng: random.Random,
     config: SearchConfig,
@@ -234,6 +223,10 @@ def _tabu_run(
     move is tabu and none aspirates, a second pass over the same state takes
     the best move ignoring tabu, so the search always progresses.
 
+    The neighbors of v are v ^ m for m in masks (hamming.ball_masks), XORed
+    afresh wherever they are needed; no per-vertex list is built.  They come
+    in mask order, not ascending, which no result depends on: each neighbor's
+    updates touch only its own row and its own place in conflicted.
     gamma[v][c] counts v's neighbors of color c.  conflicted holds, in
     ascending order, exactly the non-frozen v with gamma[v][color_of[v]] > 0;
     each move updates it for the moved vertex and its neighbors, the only
@@ -250,11 +243,11 @@ def _tabu_run(
     gamma = [[0] * (num_colors + 1) for _ in range(size)]
     for v in range(size):
         gv = gamma[v]
-        for u in neighbors[v]:
-            gv[color_of[u]] += 1
+        for m in masks:
+            gv[color_of[v ^ m]] += 1
         gv[0] = sentinel
     conflicts = sum(gamma[v][color_of[v]] for v in range(size)) // 2
-    conflicted = _conflicted_vertices(color_of, neighbors, frozen)
+    conflicted = _conflicted_vertices(color_of, masks, frozen)
 
     best_conflicts = conflicts
     best_colors = list(color_of)
@@ -295,7 +288,8 @@ def _tabu_run(
         old = color_of[v]
         tabu_until[v][old] = it + int(base + slope * conflicts)
         color_of[v] = c
-        for u in neighbors[v]:
+        for m in masks:
+            u = v ^ m
             gu = gamma[u]
             gu[old] -= 1
             gu[c] += 1
@@ -313,12 +307,12 @@ def _tabu_run(
             best_colors = list(color_of)
 
         if config.self_check and it % SELF_CHECK_PERIOD == 0:
-            recount = _count_conflicts(color_of, neighbors)
+            recount = _count_conflicts(color_of, masks)
             if recount != conflicts:
                 raise AssertionError(
                     f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
                 )
-            if _conflicted_vertices(color_of, neighbors, frozen) != conflicted:
+            if _conflicted_vertices(color_of, masks, frozen) != conflicted:
                 raise AssertionError(f"conflicted-vertex list out of date at iteration {it}")
     return best_colors, best_conflicts, it
 
@@ -352,7 +346,7 @@ def tabu_search(
     elif config.frozen:
         raise ValueError("frozen vertices require an initial assignment")
 
-    neighbors = _neighbor_table(params.n, params.k)
+    masks = ball_masks(params.n, params.k)
     best: SearchOutcome | None = None
     total_iters = 0
     restarts_used = 0
@@ -369,7 +363,7 @@ def tabu_search(
                 for v in range(size)
             ]
         run_best, run_conflicts, iters = _tabu_run(
-            colors, num_colors, neighbors, config.frozen, rng, config
+            colors, num_colors, masks, config.frozen, rng, config
         )
         total_iters += iters
         restarts_used = r

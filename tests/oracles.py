@@ -16,6 +16,14 @@ def naive_distance(u: int, v: int) -> int:
     return bin(u ^ v).count("1")
 
 
+def naive_neighbors(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Neighbors of every vertex of Q_n^k, ascending, by scanning all pairs."""
+    size = 1 << n
+    return tuple(
+        tuple(u for u in range(size) if 1 <= naive_distance(u, v) <= k) for v in range(size)
+    )
+
+
 def naive_max_code_size(n: int, d: int) -> int:
     """Maximum code size by enumerating every subset of {0,1}^n.  n <= 4 only."""
     if n > 4:

@@ -131,6 +131,13 @@ def test_chromatic_lower_bound_closed_forms_beyond_exact_range():
     assert chromatic_lower_bound(5, 5) == (32, SOURCE_EXACT, 1)
 
 
+@pytest.mark.parametrize("n,k", [(5, -3), (5, 9), (0, 0), (-1, 1), (25, 1)])
+def test_chromatic_lower_bound_rejects_out_of_range_params(n, k):
+    # The same ranges as Params, checked before any table lookup or shift.
+    with pytest.raises(ValueError, match="must be in"):
+        chromatic_lower_bound(n, k)
+
+
 def test_chromatic_lower_bound_prefers_custom_table():
     table = KnownValueTable({(3, 3): TableEntry(2, "made up")})
     got = chromatic_lower_bound(3, 2, table=table)

@@ -129,6 +129,23 @@ def test_cli_bound_unknown_is_operational_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n,k,message",
+    [
+        ("5", "-3", "power k must be in 0..n=5, got -3"),
+        ("5", "9", "power k must be in 0..n=5, got 9"),
+        ("0", "0", "dimension n must be in 1..24, got 0"),
+        ("-1", "1", "dimension n must be in 1..24, got -1"),
+        ("25", "1", "dimension n must be in 1..24, got 25"),
+    ],
+)
+def test_cli_bound_rejects_out_of_range_params(capsys, n, k, message):
+    assert main(["bound", "--n", n, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_search_tabu_success(tmp_path, capsys):
     out_path = tmp_path / "out.txt"
     rc = main(

@@ -13,6 +13,7 @@ from cubecolor.hamming import (
     Automorphism,
     Params,
     apply_automorphism,
+    ball_masks,
     ball_size,
     check_word,
     hamming_distance,
@@ -92,6 +93,21 @@ def test_check_word():
         check_word(8, 3)
     with pytest.raises(ValueError):
         check_word(-1, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ball_masks_match_brute_force(n):
+    for r in range(n + 1):
+        got = ball_masks(n, r)
+        assert got == [m for m in range(1, 1 << n) if bin(m).count("1") <= r]  # both ascending
+        assert len(got) == ball_size(n, r) - 1
+
+
+def test_ball_masks_rejects_bad_radius():
+    with pytest.raises(ValueError):
+        ball_masks(4, 5)
+    with pytest.raises(ValueError):
+        ball_masks(4, -1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

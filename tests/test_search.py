@@ -11,10 +11,9 @@ import oracles
 from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.files import save_coloring
 from cubecolor.fixture import q8_square_13_coloring
-from cubecolor.hamming import Params, ball_size
+from cubecolor.hamming import Params, ball_masks, ball_size
 from cubecolor.search import (
     Assignment,
-    _neighbor_table,
     _tabu_run,
     SearchConfig,
     assignment_from_coloring,
@@ -302,6 +301,8 @@ def test_tabu_kernel_matches_reference(seed):
     # Same instance, same rng seed: the kernel must pick the same moves as the
     # naive full scan, so colors, counts and the rng state all agree.  A large
     # tenure base keeps most moves tabu, which exercises the forced fallback.
+    # The reference walks neighbor tuples found by an all-pairs distance scan,
+    # so it shares no graph code with the kernel's masks.
     rng = random.Random(seed)
     n = rng.randrange(3, 7)
     k = rng.randrange(1, 3)
@@ -316,10 +317,10 @@ def test_tabu_kernel_matches_reference(seed):
         tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
         frozen=frozen,
     )
-    neighbors = _neighbor_table(n, k)
+    neighbors = oracles.naive_neighbors(n, k)
     run_seed = rng.randrange(10**9)
     fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
-    fast = _tabu_run(list(colors), num, neighbors, frozen, fast_rng, config)
+    fast = _tabu_run(list(colors), num, ball_masks(n, k), frozen, fast_rng, config)
     ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozen, ref_rng, config)
     assert fast == ref
     assert fast_rng.getstate() == ref_rng.getstate()
