@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
-from cubecolor.search import SELF_CHECK_PERIOD, SearchConfig
+from cubecolor.coloring import Coloring
+from cubecolor.hamming import Params, ball_masks
+from cubecolor.search import SELF_CHECK_PERIOD, UNASSIGNED, Assignment, SearchConfig
 
 
 def naive_distance(u: int, v: int) -> int:
@@ -58,6 +61,42 @@ def naive_is_valid(n: int, k: int, classes) -> bool:
             if naive_distance(u, v) <= k:
                 return False
     return sorted(seen) == list(range(1 << n))
+
+
+def reference_dsatur(params: Params) -> Coloring:
+    """DSATUR as first written: an O(N^2) scan of every vertex to choose each one.
+
+    Kept verbatim as the reference for search.dsatur_color.  Repeatedly colors
+    the vertex that sees the most distinct colors; ties break by the larger
+    number of uncolored neighbors, then by the smaller vertex value.
+    """
+    size = params.num_words
+    masks = ball_masks(params.n, params.k)
+    color_of = [UNASSIGNED] * size
+    saturation: list[set[int]] = [set() for _ in range(size)]
+    uncolored_degree = [len(masks)] * size
+
+    for _ in range(size):
+        best_v = -1
+        best_key = None
+        for v in range(size):
+            if color_of[v] != UNASSIGNED:
+                continue
+            key = (len(saturation[v]), uncolored_degree[v], -v)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_v = v
+        used = saturation[best_v]
+        c = 1
+        while c in used:
+            c += 1
+        color_of[best_v] = c
+        for m in masks:
+            u = best_v ^ m
+            if color_of[u] == UNASSIGNED:
+                saturation[u].add(c)
+                uncolored_degree[u] -= 1
+    return Assignment(replace(params, num_colors=None), color_of).to_coloring()
 
 
 def reference_tabu_run(

@@ -82,6 +82,14 @@ def test_dsatur_is_always_valid(n, k):
     assert verify_coloring(col).valid
 
 
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(1, 10) for k in range(n + 1)] + [(10, 2)]
+)
+def test_dsatur_matches_reference(n, k):
+    params = Params(n, k)
+    assert save_coloring(dsatur_color(params)) == save_coloring(oracles.reference_dsatur(params))
+
+
 def test_heuristic_color_counts_on_q8_square():
     # Frozen regression values for the deterministic heuristics on (n=8, k=2);
     # the chromatic number is 13, both heuristics overshoot.
