@@ -121,14 +121,15 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
 
 
 def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> CodeSizeResult:
-    """Largest M such that an (n, M, d) code exists, for desk-scale n.
+    """Largest M such that an (n, M, d) code exists.
 
     d = 1 admits the whole space and d = 2 the even-weight words, so those
-    return in closed form; d > n forces a single word.  Everything else runs
-    the branch-and-bound search under the given node budget.
+    return in closed form for every n; d > n forces a single word.
+    Everything else runs the branch-and-bound search under the given node
+    budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.
     """
-    if not 1 <= n <= MAX_EXACT_DIMENSION:
-        raise ValueError(f"exact computation supports n in 1..{MAX_EXACT_DIMENSION}, got {n}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     if d < 1:
         raise ValueError(f"minimum distance must be >= 1, got {d}")
     if budget < 1:
@@ -139,6 +140,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
         return CodeSizeResult(1 << (n - 1), STATUS_EXACT)
     if d > n:
         return CodeSizeResult(1, STATUS_EXACT)
+    if n > MAX_EXACT_DIMENSION:
+        raise ValueError(f"n={n} is out of exact-search range 1..{MAX_EXACT_DIMENSION}")
     return _branch_and_bound(n, d, budget)
 
 
@@ -163,24 +166,17 @@ def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) 
     silently weaker bound would be worse than no answer.
     """
     Params(n, k)  # ValueError naming the range, as for every other command
-    if table is None:
-        table = default_table()
     d = k + 1
-    entry = table.get(n, d)
+    entry = (default_table() if table is None else table).get(n, d)
     if entry is not None:
         return ChromaticBound(packing_lower_bound(n, k, entry.value), SOURCE_TABLE, entry.value)
-    if d <= 2 or d > n:
-        # Same closed forms as exact_max_code_size, valid for every n.
-        value = (1 << n) if d == 1 else (1 << (n - 1)) if d == 2 else 1
-        return ChromaticBound(packing_lower_bound(n, k, value), SOURCE_EXACT, value)
-    if n <= MAX_EXACT_DIMENSION:
+    try:
         value, status = exact_max_code_size(n, d)
-        if status == STATUS_EXACT:
-            return ChromaticBound(packing_lower_bound(n, k, value), SOURCE_EXACT, value)
+    except ValueError as exc:  # n and d are in range, so only n is too large to search
+        raise UnknownCodeSizeError(f"A({n},{d}) is unknown: not in the table and {exc}") from None
+    if status != STATUS_EXACT:
         raise UnknownCodeSizeError(
             f"A({n},{d}) is unknown: not in the table and the exact search exhausted its"
             f" {DEFAULT_NODE_BUDGET}-node budget (best code found: {value} words)"
         )
-    raise UnknownCodeSizeError(
-        f"A({n},{d}) is unknown: not in the table and out of exact-search range"
-    )
+    return ChromaticBound(packing_lower_bound(n, k, value), SOURCE_EXACT, value)

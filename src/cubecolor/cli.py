@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bounds import SOURCE_TABLE, chromatic_lower_bound, default_table
-from .coloring import class_stats, fingerprint, verify_coloring
+from .coloring import class_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
 from .fixture import q8_square_13_coloring
 from .hamming import Params
@@ -26,7 +26,6 @@ from .sat import (
     write_dimacs,
 )
 from .search import (
-    Assignment,
     SearchConfig,
     assignment_from_coloring,
     dsatur_color,
@@ -89,21 +88,14 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
 def cmd_search(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     if args.algo in ("greedy", "dsatur"):
-        col = greedy_color(Params(args.n, args.k)) if args.algo == "greedy" else dsatur_color(
-            Params(args.n, args.k)
-        )
+        col = (greedy_color if args.algo == "greedy" else dsatur_color)(Params(args.n, args.k))
         Path(args.out).write_text(save_coloring(col))
         used = len(col.classes)
         print(f"algorithm: {args.algo}")
         print(f"colors used: {used}" + (" (above target)" if used > args.colors else ""))
         print("conflicts: 0")
         return 0 if used <= args.colors else 1
-    init = None
-    if args.init is not None:
-        base = _load(args.init)
-        if base.params.n != args.n or base.params.k != args.k:
-            raise ValueError("--init coloring has different n or k")
-        init = Assignment(params, assignment_from_coloring(base).color_of)
+    init = None if args.init is None else assignment_from_coloring(_load(args.init))
     outcome = tabu_search(params, _search_config(args), init)
     Path(args.out).write_text(save_coloring(outcome.best.to_coloring()))
     print("algorithm: tabu")
@@ -149,15 +141,15 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     col = _load(args.file)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
-    for i, c in enumerate(col.classes, start=1):
-        s = class_stats(c)
+    stats = [class_stats(c) for c in col.classes]
+    for i, s in enumerate(stats, start=1):
         weights = ",".join(map(str, s.weight_distribution))
         dists = ",".join(map(str, s.distance_distribution[1:]))
         print(
             f"class {i}: size={s.size} min_distance={_fmt_distance(s.min_distance)}"
             f" weights={weights} distances={dists}"
         )
-    print(f"fingerprint: {fingerprint(col).decode()}")
+    print(f"fingerprint: {fingerprint_from_stats(col.params, stats).decode()}")
     return 0
 
 

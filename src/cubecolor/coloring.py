@@ -182,11 +182,14 @@ def fingerprint(col: Coloring) -> bytes:
     canonical form).
     """
     check_structure(col)
-    entries = sorted(
-        (s.size, s.distance_distribution) for s in (class_stats(c) for c in col.classes)
-    )
+    return fingerprint_from_stats(col.params, [class_stats(c) for c in col.classes])
+
+
+def fingerprint_from_stats(params: Params, stats: list[ClassStats]) -> bytes:
+    """fingerprint() of a coloring whose per-class stats are already computed."""
+    entries = sorted((s.size, s.distance_distribution) for s in stats)
     body = ";".join(f"{size}:" + ",".join(map(str, dd[1:])) for size, dd in entries)
-    return f"n={col.params.n};k={col.params.k};{body}".encode()
+    return f"n={params.n};k={params.k};{body}".encode()
 
 
 def transform_coloring(col: Coloring, a: Automorphism) -> Coloring:

@@ -58,8 +58,10 @@ def load_coloring(text: str) -> Coloring:
     if not 0 <= k <= n:
         raise ColoringParseError(f"line {lineno_k}: k must be in 0..{n}, got {k}")
     lineno_c, num_classes = _header_int(lines, 2, "classes")
-    if num_classes < 1:
-        raise ColoringParseError(f"line {lineno_c}: class count must be positive")
+    if not 1 <= num_classes <= 1 << n:
+        raise ColoringParseError(
+            f"line {lineno_c}: classes must be in 1..{1 << n}, got {num_classes}"
+        )
 
     class_lines = lines[3:]
     if len(class_lines) != num_classes:

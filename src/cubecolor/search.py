@@ -9,6 +9,7 @@ because all randomness comes from per-restart seeded generators.
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
@@ -53,24 +54,21 @@ class Assignment:
         """Convert to a Coloring with one class per color 1..K."""
         if not self.is_complete():
             raise ValueError("assignment has unassigned vertices")
-        num = self.params.num_colors
-        if num is None:
-            num = max(self.color_of, default=0)
+        num = self.params.num_colors or max(self.color_of)
         classes: list[list[int]] = [[] for _ in range(num)]
         for v, c in enumerate(self.color_of):
             classes[c - 1].append(v)
         params = replace(self.params, num_colors=num)
         return coloring_from_classes(params, classes)
 
-    def copy(self) -> Assignment:
-        return Assignment(self.params, list(self.color_of))
-
 
 def assignment_from_coloring(col: Coloring) -> Assignment:
-    """Inverse of Assignment.to_coloring for complete partitions."""
+    """Inverse of Assignment.to_coloring; a word in two classes is a ValueError."""
     color_of = [UNASSIGNED] * col.params.num_words
     for idx, c in enumerate(col.classes, start=1):
         for w in c.words:
+            if color_of[w] != UNASSIGNED:
+                raise ValueError(f"word {w} is in classes {color_of[w]} and {idx}")
             color_of[w] = idx
     params = replace(col.params, num_colors=col.params.num_colors or len(col.classes))
     return Assignment(params, color_of)
@@ -156,8 +154,8 @@ def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
     """
     size = params.num_words
     if order is None:
-        order = list(range(size))
-    if sorted(order) != list(range(size)):
+        order = range(size)
+    elif sorted(order) != list(range(size)):
         raise ValueError("order is not a permutation of the vertex set")
     masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
@@ -171,37 +169,35 @@ def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
 
 
 def dsatur_color(params: Params) -> Coloring:
-    """DSATUR: repeatedly color the vertex that sees the most distinct colors.
+    """DSATUR (Brelaz 1979): color next the vertex that sees the most distinct colors.
 
     Ties break by the larger number of uncolored neighbors, then by the
-    smaller vertex value, making the run fully deterministic.
+    smaller vertex value, making the run fully deterministic.  A heap keyed
+    (-saturation, -uncolored_degree, v) gives that order; each key change
+    pushes a fresh entry and leaves the old one stale.
     """
     size = params.num_words
     masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
     saturation: list[set[int]] = [set() for _ in range(size)]
     uncolored_degree = [len(masks)] * size
+    heap = [(0, -len(masks), v) for v in range(size)]  # already a heap: v ascends
 
-    for _ in range(size):
-        best_v = -1
-        best_key = None
-        for v in range(size):
-            if color_of[v] != UNASSIGNED:
-                continue
-            key = (len(saturation[v]), uncolored_degree[v], -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v
-        used = saturation[best_v]
+    while heap:
+        _, neg_degree, v = heapq.heappop(heap)
+        if neg_degree != -uncolored_degree[v]:
+            continue  # stale: every key change lowers the degree
+        used = saturation[v]
         c = 1
         while c in used:
             c += 1
-        color_of[best_v] = c
+        color_of[v] = c
         for m in masks:
-            u = best_v ^ m
+            u = v ^ m
             if color_of[u] == UNASSIGNED:
                 saturation[u].add(c)
                 uncolored_degree[u] -= 1
+                heapq.heappush(heap, (-len(saturation[u]), -uncolored_degree[u], u))
     return Assignment(replace(params, num_colors=None), color_of).to_coloring()
 
 
@@ -338,7 +334,7 @@ def tabu_search(
             raise ValueError(f"frozen vertex {v} out of range")
     if init is not None:
         if init.params.n != params.n or init.params.k != params.k:
-            raise ValueError("init assignment is for different params")
+            raise ValueError("init assignment has different n or k")
         if not init.is_complete():
             raise ValueError("init assignment must be fully assigned")
         if any(c > num_colors for c in init.color_of):
@@ -347,9 +343,9 @@ def tabu_search(
         raise ValueError("frozen vertices require an initial assignment")
 
     masks = ball_masks(params.n, params.k)
-    best: SearchOutcome | None = None
+    best_colors: list[int] = []
+    best_conflicts = best_seed = -1
     total_iters = 0
-    restarts_used = 0
 
     for r in range(config.restarts + 1):
         seed_r = config.rng_seed + r
@@ -366,22 +362,18 @@ def tabu_search(
             colors, num_colors, masks, config.frozen, rng, config
         )
         total_iters += iters
-        restarts_used = r
-        if best is None or run_conflicts < best.conflicts:
-            best = SearchOutcome(
-                best=Assignment(params, run_best),
-                conflicts=run_conflicts,
-                iterations_used=total_iters,
-                restarts_used=restarts_used,
-                seed_used=seed_r,
-            )
-        if best.conflicts == 0:
+        if r == 0 or run_conflicts < best_conflicts:
+            best_colors, best_conflicts, best_seed = run_best, run_conflicts, seed_r
+        if best_conflicts == 0:
             break
 
-    assert best is not None
-    best.iterations_used = total_iters
-    best.restarts_used = restarts_used
-    return best
+    return SearchOutcome(
+        best=Assignment(params, best_colors),
+        conflicts=best_conflicts,
+        iterations_used=total_iters,
+        restarts_used=r,
+        seed_used=best_seed,
+    )
 
 
 def extend_to_higher_dim(
@@ -400,25 +392,20 @@ def extend_to_higher_dim(
     tabu search over the 2^n new vertices with num_colors colors; the returned
     conflict count may be positive, there is no success guarantee.
     """
-    report = verify_coloring(base)
-    if not report.valid:
+    if not verify_coloring(base).valid:
         raise ValueError("base coloring is not valid")
     n, k = base.params.n, base.params.k
     base_colors = assignment_from_coloring(base).color_of
     k_base = len(base.classes)
-    size = 1 << n
     config = config or SearchConfig()
 
     if strategy == STRATEGY_DOUBLE:
         target = 2 * k_base
         if num_colors is not None and num_colors != target:
             raise ValueError(f"double strategy yields exactly {target} colors, got {num_colors}")
-        params_out = Params(n + 1, k, target)
-        color_of = [0] * (2 * size)
-        for x in range(size):
-            color_of[x] = base_colors[x]
-            color_of[size + x] = base_colors[x] + k_base
-        assignment = Assignment(params_out, color_of)
+        assignment = Assignment(
+            Params(n + 1, k, target), base_colors + [c + k_base for c in base_colors]
+        )
         return SearchOutcome(
             best=assignment,
             conflicts=conflict_count(assignment),
@@ -430,16 +417,15 @@ def extend_to_higher_dim(
     if strategy == STRATEGY_FREEZE_SUBCUBE:
         if num_colors is None:
             raise ValueError("freeze-subcube needs a target color count")
-        used = max((i + 1 for i, c in enumerate(base.classes) if c.words), default=0)
+        used = max(base_colors)
         if num_colors < used:
             raise ValueError(f"base coloring uses {used} colors, target {num_colors} is smaller")
         params_out = Params(n + 1, k, num_colors)
         rng = random.Random(config.rng_seed)
-        color_of = list(base_colors) + [
-            rng.randrange(1, num_colors + 1) for _ in range(size)
-        ]
-        init = Assignment(params_out, color_of)
-        frozen_config = replace(config, frozen=frozenset(range(size)))
+        init = Assignment(
+            params_out, base_colors + [rng.randrange(1, num_colors + 1) for _ in base_colors]
+        )
+        frozen_config = replace(config, frozen=frozenset(range(len(base_colors))))
         return tabu_search(params_out, frozen_config, init)
 
     raise ValueError(f"unknown strategy {strategy!r}")

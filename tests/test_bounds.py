@@ -97,6 +97,14 @@ def test_exact_argument_validation():
         exact_max_code_size(5, 3, budget=0)
 
 
+def test_exact_closed_forms_hold_beyond_the_search_range():
+    assert exact_max_code_size(20, 1) == (2**20, STATUS_EXACT)
+    assert exact_max_code_size(20, 2) == (2**19, "exact")
+    assert exact_max_code_size(20, 21) == (1, STATUS_EXACT)
+    with pytest.raises(ValueError, match="out of exact-search range"):
+        exact_max_code_size(13, 3)
+
+
 def test_budget_exhaustion_reports_timeout():
     result = exact_max_code_size(7, 3, budget=50)
     assert result.status == STATUS_TIMEOUT
@@ -146,6 +154,12 @@ def test_chromatic_lower_bound_prefers_custom_table():
 
 def test_chromatic_lower_bound_unknown_raises():
     with pytest.raises(UnknownCodeSizeError):
+        chromatic_lower_bound(13, 2, table=KnownValueTable({}))
+
+
+def test_chromatic_lower_bound_names_the_search_range():
+    with pytest.raises(UnknownCodeSizeError, match=r"A\(13,3\) is unknown: not in the table and"
+                       r" n=13 is out of exact-search range 1\.\.12"):
         chromatic_lower_bound(13, 2, table=KnownValueTable({}))
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubecolor import cli, coloring
 from cubecolor.cli import main
-from cubecolor.coloring import coloring_from_classes, verify_coloring
+from cubecolor.coloring import coloring_from_classes, fingerprint, verify_coloring
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
@@ -112,6 +113,14 @@ def test_cli_verify_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_class_count_above_word_count_names_its_line(tmp_path, capsys):
+    path = tmp_path / "five.txt"
+    path.write_text("# four words, five classes\nn 2\nk 1\nclasses 5\nclass 0\nclass 1\n"
+                    "class 2\nclass 3\nclass\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 4: classes must be in 1..4, got 5\n"
+
+
 def test_cli_verify_missing_file(capsys):
     assert main(["verify", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -214,6 +223,18 @@ def test_cli_search_init_params_mismatch(q3_file, tmp_path, capsys):
     assert "different n or k" in capsys.readouterr().err
 
 
+def test_cli_search_init_rejects_a_word_in_two_classes(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_text("n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 0 3 4\n")
+    rc = main(
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--init", str(path),
+         "--out", str(tmp_path / "x.txt")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: word 0 is in classes 1 and 4\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_cli_extend_double(q3_file, tmp_path, capsys):
     out_path = tmp_path / "q4.txt"
     rc = main(["extend", "--in", q3_file, "--strategy", "double", "--out", str(out_path)])
@@ -284,6 +305,36 @@ def test_cli_stats(q3_file, capsys):
     out = capsys.readouterr().out
     assert "fingerprint: n=3;k=2;" in out
     assert "class 1: size=2 min_distance=3" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        Q3_TEXT,
+        "n 3\nk 2\nclasses 4\nclass 0 1\nclass 2 5\nclass 3 4\nclass 6 7\n",  # distance
+        "n 2\nk 1\nclasses 3\nclass 0 3\nclass 0\nclass\n",  # duplicate, missing, empty
+    ],
+    ids=["valid", "distance-violation", "duplicate-word"],
+)
+def test_cli_stats_fingerprint_matches_library_and_walks_each_class_once(
+    text, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "col.txt"
+    path.write_text(text)
+    walked = []
+    real_class_stats = coloring.class_stats
+
+    def counting(c):
+        walked.append(c)
+        return real_class_stats(c)
+
+    monkeypatch.setattr(cli, "class_stats", counting)
+    monkeypatch.setattr(coloring, "class_stats", counting)
+    assert main(["stats", str(path)]) == 0
+    col = load_coloring(text)
+    assert walked == list(col.classes)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"fingerprint: {fingerprint(col).decode()}"
 
 
 def test_cli_fixture_pipes_into_verify(capsys, tmp_path):

@@ -50,6 +50,12 @@ def test_assignment_coloring_round_trip():
     assert back.classes == Q3_COLORING.classes
 
 
+def test_assignment_from_coloring_rejects_a_word_in_two_classes():
+    dup = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5, 7], [3, 4]])
+    with pytest.raises(ValueError, match="word 7 is in classes 1 and 3"):
+        assignment_from_coloring(dup)
+
+
 @given(st.integers(0, 10**9))
 def test_conflict_count_matches_naive(seed):
     rng = random.Random(seed)
