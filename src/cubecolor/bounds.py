@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+from .files import content_lines, parse_ints
 from .hamming import Params, ball_masks
 
 # Exact search is desk-scale only; beyond this the conflict graph and the
@@ -51,17 +52,11 @@ class KnownValueTable:
     def from_text(cls, text: str) -> KnownValueTable:
         """Parse the plain-text resource format: lines "n d value citation"."""
         entries: dict[tuple[int, int], TableEntry] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text, "#"):
             parts = line.split(None, 3)
             if len(parts) < 4:
-                raise ValueError(f"line {lineno}: expected 'n d value citation', got {raw!r}")
-            try:
-                n, d, value = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"line {lineno}: expected 'n d value citation', got {line!r}")
+            n, d, value = parse_ints(parts[:3], lineno)
             if value < 1:
                 raise ValueError(f"line {lineno}: value must be positive")
             entries[(n, d)] = TableEntry(value, parts[3])
@@ -145,7 +140,7 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     return _branch_and_bound(n, d, budget)
 
 
-def packing_lower_bound(n: int, k: int, max_code_size: int) -> int:
+def packing_lower_bound(n: int, max_code_size: int) -> int:
     """ceil(2^n / A) colors are needed when color classes have size <= A."""
     if max_code_size < 1:
         raise ValueError("max_code_size must be >= 1")
@@ -156,6 +151,7 @@ class ChromaticBound(NamedTuple):
     bound: int
     source: str  # SOURCE_TABLE or SOURCE_EXACT
     max_code_size: int
+    citation: str | None  # the table's citation; None when the value was computed
 
 
 def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) -> ChromaticBound:
@@ -169,7 +165,9 @@ def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) 
     d = k + 1
     entry = (default_table() if table is None else table).get(n, d)
     if entry is not None:
-        return ChromaticBound(packing_lower_bound(n, k, entry.value), SOURCE_TABLE, entry.value)
+        return ChromaticBound(
+            packing_lower_bound(n, entry.value), SOURCE_TABLE, entry.value, entry.citation
+        )
     try:
         value, status = exact_max_code_size(n, d)
     except ValueError as exc:  # n and d are in range, so only n is too large to search
@@ -179,4 +177,4 @@ def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) 
             f"A({n},{d}) is unknown: not in the table and the exact search exhausted its"
             f" {DEFAULT_NODE_BUDGET}-node budget (best code found: {value} words)"
         )
-    return ChromaticBound(packing_lower_bound(n, k, value), SOURCE_EXACT, value)
+    return ChromaticBound(packing_lower_bound(n, value), SOURCE_EXACT, value, None)

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import SOURCE_TABLE, chromatic_lower_bound, default_table
+from .bounds import chromatic_lower_bound
 from .coloring import class_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
 from .fixture import q8_square_13_coloring
@@ -33,8 +33,6 @@ from .search import (
     greedy_color,
     tabu_search,
 )
-
-MAX_PRINTED_VIOLATIONS = 20
 
 
 def _read_text(path: str) -> str:
@@ -57,14 +55,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
     for i, s in enumerate(report.per_class, start=1):
         print(f"class {i}: size={s.size} min_distance={_fmt_distance(s.min_distance)}")
-    for v in report.violations[:MAX_PRINTED_VIOLATIONS]:
+    for v in report.violations:
         words = ",".join(map(str, v.words))
         cls = ",".join(map(str, v.classes))
         print(f"violation: {v.kind} words={words}" + (f" classes={cls}" if cls else ""))
-    hidden = len(report.violations) - MAX_PRINTED_VIOLATIONS
+    hidden = report.num_violations - len(report.violations)
     if hidden > 0:
         print(f"... and {hidden} more violations")
-    print(f"status: {'valid' if report.valid else f'invalid ({len(report.violations)} violations)'}")
+    print(f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}")
     return 0 if report.valid else 1
 
 
@@ -72,9 +70,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     result = chromatic_lower_bound(args.n, args.k)
     print(result.bound)
     detail = f"A({args.n},{args.k + 1}) = {result.max_code_size}"
-    if result.source == SOURCE_TABLE:
-        entry = default_table().get(args.n, args.k + 1)
-        detail += f" [{entry.citation}]"
+    if result.citation is not None:
+        detail += f" [{result.citation}]"
     print(f"source: {result.source}, {detail}")
     return 0
 

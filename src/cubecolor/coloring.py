@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
 
 #: Sentinel minimum distance of a code with fewer than two words.
 INFINITE_DISTANCE = math.inf
+
+#: Violations a VerifyReport keeps as witnesses; num_violations counts them all.
+MAX_WITNESSES = 20
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """violations holds the first MAX_WITNESSES of num_violations, in check order."""
+
     valid: bool
     violations: tuple[Violation, ...] = ()
     per_class: tuple[ClassStats, ...] = field(default_factory=tuple)
+    num_violations: int = 0
 
 
 def verify_coloring(col: Coloring) -> VerifyReport:
@@ -144,32 +150,45 @@ def verify_coloring(col: Coloring) -> VerifyReport:
     one.  Only a class whose histogram shows a pair at distance <= k is walked
     again, to name its witness pairs.  Every violation carries its witness
     words; per-class stats are filled even for invalid colorings.
+
+    Violations are counted from the word counts and the histograms.  The
+    witnesses are generated lazily in check order (duplicates, missing words,
+    close pairs) and only the first MAX_WITNESSES are built, so a near-empty
+    file that declares a large n costs no memory per missing word.
     """
     check_structure(col)
     n, k = col.params.n, col.params.k
-    violations: list[Violation] = []
-
-    first_seen: dict[int, int] = {}
-    for idx, c in enumerate(col.classes, start=1):
-        for w in c.sorted_words():
-            if w in first_seen:
-                violations.append(Violation("duplicate-word", (w,), (first_seen[w], idx)))
-            else:
-                first_seen[w] = idx
-
-    for w in range(1 << n):
-        if w not in first_seen:
-            violations.append(Violation("missing-word", (w,)))
-
+    numbered = list(enumerate(col.classes, start=1))
+    # Built last class first, so each word maps to the first class holding it.
+    first_seen = {w: idx for idx, c in reversed(numbered) for w in c.words}
     stats = tuple(class_stats(c) for c in col.classes)
-    for idx, (c, s) in enumerate(zip(col.classes, stats), start=1):
-        if s.min_distance > k:
-            continue
-        for u, v in combinations(c.sorted_words(), 2):
-            if hamming_distance(u, v) <= k:
-                violations.append(Violation("distance-violation", (u, v), (idx,)))
+    close_pairs = [sum(s.distance_distribution[1 : k + 1]) for s in stats]
+    num_violations = (
+        sum(map(len, col.classes)) - len(first_seen)  # repeated words
+        + (1 << n) - len(first_seen)  # missing words
+        + sum(close_pairs)
+    )
 
-    return VerifyReport(valid=not violations, violations=tuple(violations), per_class=stats)
+    duplicates = (
+        Violation("duplicate-word", (w,), (first_seen[w], idx))
+        for idx, c in numbered
+        for w in c.sorted_words()
+        if first_seen[w] != idx
+    )
+    missing = (Violation("missing-word", (w,)) for w in range(1 << n) if w not in first_seen)
+    close = (
+        Violation("distance-violation", (u, v), (idx,))
+        for (idx, c), bad in zip(numbered, close_pairs)
+        if bad
+        for u, v in combinations(c.sorted_words(), 2)
+        if hamming_distance(u, v) <= k
+    )
+    return VerifyReport(
+        valid=num_violations == 0,
+        violations=tuple(islice(chain(duplicates, missing, close), MAX_WITNESSES)),
+        per_class=stats,
+        num_violations=num_violations,
+    )
 
 
 def fingerprint(col: Coloring) -> bytes:

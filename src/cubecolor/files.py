@@ -1,4 +1,4 @@
-"""Plain-text coloring files: human-diffable, one class per line.
+"""Plain-text coloring files, and the line reader every text input uses.
 
 Format (UTF-8, line oriented): optional "#" comment lines, a header of
 "n <int>", "k <int>", "classes <int>" in that order, then exactly that many
@@ -14,7 +14,27 @@ from .hamming import MAX_DIMENSION, Params
 
 
 class ColoringParseError(ValueError):
-    """Malformed coloring file; the message names the offending line."""
+    """Malformed text input (coloring file, DIMACS, solver model or code-size
+    table); the message names the offending line."""
+
+
+def content_lines(text: str, comment: str = "") -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) for each non-blank line whose
+    first character is not in `comment`."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] not in comment:
+            out.append((lineno, line))
+    return out
+
+
+def parse_ints(tokens: list[str], lineno: int) -> list[int]:
+    """The tokens as integers; a bad token's error names its line."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ColoringParseError(f"line {lineno}: {exc}") from None
 
 
 def save_coloring(col: Coloring) -> str:
@@ -25,43 +45,24 @@ def save_coloring(col: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
-
-
-def _header_int(lines: list[tuple[int, str]], pos: int, key: str) -> tuple[int, int]:
+def _header_int(lines: list[tuple[int, str]], pos: int, key: str, lo: int, hi: int) -> int:
     if pos >= len(lines):
         raise ColoringParseError(f"unexpected end of file: missing '{key}' header line")
     lineno, line = lines[pos]
     parts = line.split()
     if len(parts) != 2 or parts[0] != key:
         raise ColoringParseError(f"line {lineno}: expected '{key} <int>', got {line!r}")
-    try:
-        value = int(parts[1])
-    except ValueError:
-        raise ColoringParseError(f"line {lineno}: {parts[1]!r} is not an integer") from None
-    return lineno, value
+    (value,) = parse_ints(parts[1:], lineno)
+    if not lo <= value <= hi:
+        raise ColoringParseError(f"line {lineno}: {key} must be in {lo}..{hi}, got {value}")
+    return value
 
 
 def load_coloring(text: str) -> Coloring:
-    lines = _content_lines(text)
-    lineno_n, n = _header_int(lines, 0, "n")
-    if not 1 <= n <= MAX_DIMENSION:
-        raise ColoringParseError(f"line {lineno_n}: n must be in 1..{MAX_DIMENSION}, got {n}")
-    lineno_k, k = _header_int(lines, 1, "k")
-    if not 0 <= k <= n:
-        raise ColoringParseError(f"line {lineno_k}: k must be in 0..{n}, got {k}")
-    lineno_c, num_classes = _header_int(lines, 2, "classes")
-    if not 1 <= num_classes <= 1 << n:
-        raise ColoringParseError(
-            f"line {lineno_c}: classes must be in 1..{1 << n}, got {num_classes}"
-        )
+    lines = content_lines(text, "#")
+    n = _header_int(lines, 0, "n", 1, MAX_DIMENSION)
+    k = _header_int(lines, 1, "k", 0, n)
+    num_classes = _header_int(lines, 2, "classes", 1, 1 << n)
 
     class_lines = lines[3:]
     if len(class_lines) != num_classes:
@@ -70,21 +71,16 @@ def load_coloring(text: str) -> Coloring:
         )
     classes: list[list[int]] = []
     for lineno, line in class_lines:
-        parts = line.split()
-        if parts[0] != "class":
+        keyword, *tokens = line.split()
+        if keyword != "class":
             raise ColoringParseError(f"line {lineno}: expected 'class ...', got {line!r}")
-        words: list[int] = []
+        words = parse_ints(tokens, lineno)
         seen: set[int] = set()
-        for tok in parts[1:]:
-            try:
-                w = int(tok)
-            except ValueError:
-                raise ColoringParseError(f"line {lineno}: {tok!r} is not an integer") from None
+        for w in words:
             if not 0 <= w < 1 << n:
                 raise ColoringParseError(f"line {lineno}: word {w} out of range for n={n}")
             if w in seen:
                 raise ColoringParseError(f"line {lineno}: word {w} listed twice in one class")
             seen.add(w)
-            words.append(w)
         classes.append(words)
     return coloring_from_classes(Params(n, k, num_classes), classes)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
+from .files import content_lines, parse_ints
 from .hamming import Params, ball_masks, ball_size
 
 SYMMETRY_NONE = "none"
@@ -150,14 +151,6 @@ def write_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(tokens: list[str], lineno: int) -> list[int]:
-    """The tokens as integers; a bad token's error names its line."""
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-
-
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; inverse of write_dimacs on its own output."""
     comments: list[str] = []
@@ -165,10 +158,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_clauses: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("c"):
             if num_vars is None:
                 comments.append(line[2:] if line.startswith("c ") else line[1:])
@@ -176,12 +166,12 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed problem line {raw!r}")
-            num_vars, num_clauses = _ints(parts[2:], lineno)
+                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+            num_vars, num_clauses = parse_ints(parts[2:], lineno)
             continue
         if num_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
-        for lit in _ints(line.split(), lineno):
+        for lit in parse_ints(line.split(), lineno):
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -241,11 +231,8 @@ def parse_solver_model(text: str) -> set[int]:
     become true variables, negatives are recorded as false by omission.
     """
     true_vars: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "cs":
-            continue
+    for lineno, line in content_lines(text, "cs"):
         if line.startswith("v"):
-            line = line[1:].strip()
-        true_vars.update(lit for lit in _ints(line.split(), lineno) if lit > 0)
+            line = line[1:]
+        true_vars.update(lit for lit in parse_ints(line.split(), lineno) if lit > 0)
     return true_vars

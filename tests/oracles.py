@@ -63,6 +63,20 @@ def naive_is_valid(n: int, k: int, classes) -> bool:
     return sorted(seen) == list(range(1 << n))
 
 
+def naive_violation_count(n: int, k: int, classes) -> int:
+    """Repeated words, missing words and close same-class pairs, counted directly."""
+    words = [w for cls in classes for w in cls]
+    repeats = len(words) - len(set(words))
+    missing = sum(1 for w in range(1 << n) if w not in set(words))
+    close = sum(
+        1
+        for cls in classes
+        for u, v in itertools.combinations(list(cls), 2)
+        if naive_distance(u, v) <= k
+    )
+    return repeats + missing + close
+
+
 def reference_dsatur(params: Params) -> Coloring:
     """DSATUR as first written: an O(N^2) scan of every vertex to choose each one.
 

@@ -49,6 +49,7 @@ def test_default_table_contents():
     assert table.get(8, 3).value == 20
     assert table.get(7, 3).value == 16
     assert table.get(9, 3).value == 40
+    assert table.get(10, 3).value == 72
     assert all(entry.citation for entry in table.entries.values())
 
 
@@ -112,11 +113,11 @@ def test_budget_exhaustion_reports_timeout():
 
 
 def test_packing_lower_bound_rounds_up():
-    assert packing_lower_bound(8, 2, 20) == 13  # ceil(256/20)
-    assert packing_lower_bound(8, 2, 16) == 16  # exact division
-    assert packing_lower_bound(3, 2, 2) == 4
+    assert packing_lower_bound(8, 20) == 13  # ceil(256/20)
+    assert packing_lower_bound(8, 16) == 16  # exact division
+    assert packing_lower_bound(3, 2) == 4
     with pytest.raises(ValueError):
-        packing_lower_bound(3, 2, 0)
+        packing_lower_bound(3, 0)
 
 
 def test_chromatic_lower_bound_uses_table_first():
@@ -128,15 +129,15 @@ def test_chromatic_lower_bound_uses_table_first():
 
 def test_chromatic_lower_bound_computes_small_cases():
     got = chromatic_lower_bound(3, 2)
-    assert got == (4, SOURCE_EXACT, 2)
-    assert chromatic_lower_bound(4, 2) == (8, SOURCE_EXACT, 2)
+    assert got == (4, SOURCE_EXACT, 2, None)
+    assert chromatic_lower_bound(4, 2) == (8, SOURCE_EXACT, 2, None)
 
 
 def test_chromatic_lower_bound_closed_forms_beyond_exact_range():
     # d = k+1 <= 2 and d > n work at any dimension without a table entry.
     assert chromatic_lower_bound(20, 0).bound == 1
     assert chromatic_lower_bound(20, 1).bound == 2
-    assert chromatic_lower_bound(5, 5) == (32, SOURCE_EXACT, 1)
+    assert chromatic_lower_bound(5, 5) == (32, SOURCE_EXACT, 1, None)
 
 
 @pytest.mark.parametrize("n,k", [(5, -3), (5, 9), (0, 0), (-1, 1), (25, 1)])
@@ -149,7 +150,7 @@ def test_chromatic_lower_bound_rejects_out_of_range_params(n, k):
 def test_chromatic_lower_bound_prefers_custom_table():
     table = KnownValueTable({(3, 3): TableEntry(2, "made up")})
     got = chromatic_lower_bound(3, 2, table=table)
-    assert got == (4, SOURCE_TABLE, 2)
+    assert got == (4, SOURCE_TABLE, 2, "made up")
 
 
 def test_chromatic_lower_bound_unknown_raises():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from cubecolor.coloring import (
     INFINITE_DISTANCE,
+    MAX_WITNESSES,
     CodeClass,
     Coloring,
     class_stats,
@@ -121,6 +122,35 @@ def test_verify_agrees_with_naive_oracle(seed):
         return  # same word twice in one class collapses in a set; skip
     col = coloring_from_classes(Params(n, k, num), classes)
     assert verify_coloring(col).valid == oracles.naive_is_valid(n, k, classes)
+
+
+@given(st.integers(0, 10**9))
+def test_verify_counts_every_violation_but_keeps_few_witnesses(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 7)
+    k = rng.randrange(0, n + 1)
+    num = rng.randrange(1, min(4, 1 << n) + 1)
+    drop, dup = rng.random() * 0.5, rng.random() * 0.3
+    classes = [set() for _ in range(num)]
+    for w in range(1 << n):
+        if rng.random() < drop:
+            continue
+        classes[rng.randrange(num)].add(w)
+        if rng.random() < dup:
+            classes[rng.randrange(num)].add(w)
+    report = verify_coloring(coloring_from_classes(Params(n, k, num), classes))
+    assert report.num_violations == oracles.naive_violation_count(n, k, classes)
+    assert report.valid == (report.num_violations == 0)
+    assert len(report.violations) == min(report.num_violations, MAX_WITNESSES)
+    owner = {w: i for i, cls in enumerate(classes, start=1) for w in cls}
+    for v in report.violations:
+        if v.kind == "missing-word":
+            assert v.words[0] not in owner
+        elif v.kind == "duplicate-word":
+            assert all(v.words[0] in classes[i - 1] for i in v.classes)
+        else:
+            u, w = v.words
+            assert 1 <= (u ^ w).bit_count() <= k and {u, w} <= classes[v.classes[0] - 1]
 
 
 def test_fixture_is_valid_with_expected_profile():

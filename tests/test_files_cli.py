@@ -50,26 +50,30 @@ def test_save_load_round_trip_random(seed):
     assert back.classes == col.classes
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "k 2\nn 3\nclasses 1\nclass 0\n",  # headers out of order
-        "n 3\nk 2\n",  # classes header missing
-        "n 0\nk 0\nclasses 1\nclass\n",  # n out of range
-        "n 3\nk 4\nclasses 1\nclass\n",  # k > n
-        "n 3\nk 2\nclasses 0\n",  # class count not positive
-        "n 3\nk 2\nclasses 2\nclass 0\n",  # too few class lines
-        "n 3\nk 2\nclasses 1\nclass 0\nclass 1\n",  # too many class lines
-        "n 3\nk 2\nclasses 1\nclass 8\n",  # word out of range
-        "n 3\nk 2\nclasses 1\nclass x\n",  # word not an integer
-        "n 3\nk 2\nclasses 1\nclass 1 1\n",  # word repeated in one class
-        "n 3\nk 2\nclasses 1\nwords 0 1\n",  # wrong line keyword
-        "n three\nk 2\nclasses 1\nclass\n",  # header not an integer
-    ],
-)
+# Each malformed file and the start of its error; every message about one
+# line names it, and the header range messages are pinned byte for byte.
+MALFORMED = {
+    "k 2\nn 3\nclasses 1\nclass 0\n": "line 1: expected 'n <int>', got 'k 2'",  # headers out of order
+    "n 3\nk 2\n": "unexpected end of file: missing 'classes' header line",
+    "n 0\nk 0\nclasses 1\nclass\n": "line 1: n must be in 1..24, got 0",
+    "n 3\nk 4\nclasses 1\nclass\n": "line 2: k must be in 0..3, got 4",
+    "n 3\nk 2\nclasses 0\n": "line 3: classes must be in 1..8, got 0",
+    "n 3\nk 2\nclasses 9\n": "line 3: classes must be in 1..8, got 9",
+    "n 3\nk 2\nclasses 2\nclass 0\n": "expected 2 class lines, found 1",
+    "n 3\nk 2\nclasses 1\nclass 0\nclass 1\n": "expected 1 class lines, found 2",
+    "n 3\nk 2\nclasses 1\nclass 8\n": "line 4: word 8 out of range for n=3",
+    "n 3\nk 2\nclasses 1\nclass x\n": "line 4: invalid literal for int() with base 10: 'x'",
+    "n 3\nk 2\nclasses 1\nclass 1 1\n": "line 4: word 1 listed twice in one class",
+    "n 3\nk 2\nclasses 1\nwords 0 1\n": "line 4: expected 'class ...', got 'words 0 1'",
+    "n three\nk 2\nclasses 1\nclass\n": "line 1: invalid literal for int() with base 10: 'three'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_load_rejects_malformed(text):
-    with pytest.raises(ColoringParseError):
+    with pytest.raises(ColoringParseError) as exc:
         load_coloring(text)
+    assert str(exc.value) == MALFORMED[text]
 
 
 def test_cross_class_duplicate_is_a_verifier_matter_not_a_parse_error():
@@ -106,6 +110,17 @@ def test_cli_verify_invalid(tmp_path, capsys):
     assert "status: invalid" in out
 
 
+def test_cli_verify_tiny_file_with_large_n_prints_twenty_witnesses(tmp_path, capsys):
+    path = tmp_path / "empty20.txt"
+    path.write_text("n 20\nk 1\nclasses 1\nclass\n")
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [line for line in lines if line.startswith("violation: ")]
+    assert witnesses == [f"violation: missing-word words={w}" for w in range(20)]
+    assert lines[-2:] == [f"... and {2**20 - 20} more violations",
+                          f"status: invalid ({2**20} violations)"]
+
+
 def test_cli_verify_parse_error(tmp_path, capsys):
     path = tmp_path / "garbage.txt"
     path.write_text("not a coloring\n")
@@ -131,6 +146,14 @@ def test_cli_bound(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "13"
     assert "known-table" in lines[1] and "20" in lines[1]
+
+
+def test_cli_bound_n10_answers_from_the_table(capsys):
+    # A(10,3) = 72 is cited, so no exact search runs (it would take ~100 s).
+    assert main(["bound", "--n", "10", "--k", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "15"  # ceil(1024/72)
+    assert lines[1].startswith("source: known-table, A(10,3) = 72 [Östergård, Baicheva, Kolev")
 
 
 def test_cli_bound_unknown_is_operational_error(capsys):
