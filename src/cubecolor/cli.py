@@ -3,13 +3,16 @@
 Exit codes: 0 success (for verify/search: valid / zero conflicts within
 --colors), 1 for "ran fine but the coloring is invalid / conflicts remain /
 more colors than --colors were used", 2 for structural
-problems (parse errors, unknown values, bad flags).  The distinction lets
-scripts drive restart sweeps without confusing "try again" with "broken".
+problems (parse errors, unknown values, bad flags), 141 when the reader of
+stdout closed it early (128 + SIGPIPE, as a shell reports a pipe-killed
+command; nothing is printed).  The distinction lets scripts drive restart
+sweeps without confusing "try again" with "broken".
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,13 +22,15 @@ from .files import load_coloring, save_coloring
 from .fixture import q8_square_13_coloring
 from .hamming import Params
 from .sat import (
+    SYMMETRIES,
     EncodeOptions,
     decode_model,
+    dimacs_lines,
     encode_coloring_cnf,
     parse_solver_model,
-    write_dimacs,
 )
 from .search import (
+    STRATEGIES,
     SearchConfig,
     assignment_from_coloring,
     dsatur_color,
@@ -76,6 +81,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_search_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
+    p.add_argument("--max-iters", type=int, default=SearchConfig.max_iterations)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+
+
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(
         rng_seed=args.seed, max_iterations=args.max_iters, restarts=args.restarts
@@ -120,7 +131,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
     formula = encode_coloring_cnf(params, options)
-    Path(args.out).write_text(write_dimacs(formula))
+    with open(args.out, "w") as fh:
+        fh.writelines(dimacs_lines(formula))
     print(f"variables: {formula.num_vars}")
     print(f"clauses: {len(formula.clauses)}")
     return 0
@@ -176,20 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--algo", choices=("greedy", "dsatur", "tabu"), default="tabu")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--restarts", type=int, default=0)
+    _add_search_config_args(p)
     p.add_argument("--init", help="coloring file to start the tabu search from")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("extend", help="lift a coloring of Q_n^k to Q_{n+1}^k")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--strategy", choices=("double", "freeze-subcube"), required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, required=True)
     p.add_argument("--colors", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    p.add_argument("--restarts", type=int, default=0)
+    _add_search_config_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extend)
 
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--symmetry", choices=("none", "fix-vertex-0", "fix-clique"), default="none")
+    p.add_argument("--symmetry", choices=SYMMETRIES, default=EncodeOptions.symmetry)
     p.add_argument("--amo", action="store_true", help="add pairwise at-most-one clauses")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
@@ -223,7 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Silence the exit flush too and
+        # report what a shell reports for a command killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # includes ColoringParseError, UnknownCodeSizeError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ concrete witness; per-class statistics are computed either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, islice
 
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
@@ -47,6 +47,12 @@ class Coloring:
     classes[i] holds the words of color i+1.  Some classes may be empty while
     a search is in progress; validity requires them to partition {0,1}^n with
     per-class minimum distance >= k+1.
+
+    Construction checks the structure: every class is on the coloring's n,
+    and the class count equals params.num_colors (filled in when None).  A
+    malformed object raises ValueError rather than reaching verify_coloring,
+    because a verdict about a coloring only makes sense once the object
+    itself is well-formed.
     """
 
     params: Params
@@ -54,27 +60,21 @@ class Coloring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
+        for i, c in enumerate(self.classes, start=1):
+            if c.n != self.params.n:
+                raise ValueError(f"class {i} has n={c.n}, coloring has n={self.params.n}")
+        if self.params.num_colors is None:
+            object.__setattr__(self, "params", replace(self.params, num_colors=len(self.classes)))
+        elif len(self.classes) != self.params.num_colors:
+            raise ValueError(
+                f"coloring declares {self.params.num_colors} colors"
+                f" but has {len(self.classes)} classes"
+            )
 
 
 def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozenset[int]]) -> Coloring:
     """Convenience constructor from plain word collections."""
     return Coloring(params, tuple(CodeClass(frozenset(c), params.n) for c in classes))
-
-
-def check_structure(col: Coloring) -> None:
-    """Raise ValueError on malformed colorings (wrong n, wrong class count).
-
-    Structural problems are reported as errors, not as verification
-    violations: a verdict about a coloring only makes sense once the object
-    itself is well-formed.
-    """
-    for i, c in enumerate(col.classes):
-        if c.n != col.params.n:
-            raise ValueError(f"class {i + 1} has n={c.n}, coloring has n={col.params.n}")
-    if col.params.num_colors is not None and len(col.classes) != col.params.num_colors:
-        raise ValueError(
-            f"coloring declares {col.params.num_colors} colors but has {len(col.classes)} classes"
-        )
 
 
 def min_distance(c: CodeClass) -> int | float:
@@ -156,7 +156,6 @@ def verify_coloring(col: Coloring) -> VerifyReport:
     close pairs) and only the first MAX_WITNESSES are built, so a near-empty
     file that declares a large n costs no memory per missing word.
     """
-    check_structure(col)
     n, k = col.params.n, col.params.k
     numbered = list(enumerate(col.classes, start=1))
     # Built last class first, so each word maps to the first class holding it.
@@ -200,7 +199,6 @@ def fingerprint(col: Coloring) -> bytes:
     fingerprints; the converse is not claimed (this is an invariant, not a
     canonical form).
     """
-    check_structure(col)
     return fingerprint_from_stats(col.params, [class_stats(c) for c in col.classes])
 
 

@@ -8,6 +8,7 @@ last) so generated files are byte-identical across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -21,9 +22,10 @@ SYMMETRY_FIX_CLIQUE = "fix-clique"
 SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 
 #: Largest formula encode_coloring_cnf builds.  The clauses are held as
-#: tuples and written out as one string, about 240 bytes per clause at peak
-#: (2.0M clauses took 483 MiB), so this keeps an encode near 1 GiB.
-MAX_CLAUSES = 4_000_000
+#: tuples and the CLI writes them out line by line, about 155 bytes per
+#: clause at peak (5.9M clauses for (12,2,37) took 886 MiB, 2.0M for
+#: (11,2,30) took 314 MiB), so this keeps an encode under 1 GiB.
+MAX_CLAUSES = 6_000_000
 
 
 class ModelDecodeError(ValueError):
@@ -142,13 +144,19 @@ def expected_clause_count(params: Params, options: EncodeOptions | None = None) 
     return total
 
 
+def dimacs_lines(f: CnfFormula) -> Iterator[str]:
+    """The lines of write_dimacs(f), each ending in a newline, one at a time,
+    so a file can be written without holding the whole text."""
+    for c in f.comments:
+        yield f"c {c}\n"
+    yield f"p cnf {f.num_vars} {len(f.clauses)}\n"
+    for cl in f.clauses:
+        yield " ".join(map(str, cl)) + " 0\n"
+
+
 def write_dimacs(f: CnfFormula) -> str:
     """Standard DIMACS CNF text; byte-stable for a fixed formula."""
-    lines = [f"c {c}" for c in f.comments]
-    lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    for cl in f.clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + " 0")
-    return "\n".join(lines) + "\n"
+    return "".join(dimacs_lines(f))
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -196,11 +204,10 @@ def evaluate(f: CnfFormula, true_vars: set[int]) -> bool:
 
 def coloring_to_model(col: Coloring) -> set[int]:
     """Canonical model of a coloring: exactly var(v, color(v)) is true."""
-    num_colors = col.params.num_colors or len(col.classes)
     model: set[int] = set()
     for idx, cls in enumerate(col.classes, start=1):
         for w in cls.words:
-            model.add(var_index(w, idx, num_colors))
+            model.add(var_index(w, idx, col.params.num_colors))
     return model
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .hamming import Params, ball_masks
 
-#: color_of entry for a vertex that has not been assigned yet.
+#: color_of entry for a vertex not colored yet, while greedy, DSATUR or
+#: assignment_from_coloring fills the list; an Assignment never holds it.
 UNASSIGNED = 0
 
 #: Iterations between recounts of the incremental conflict tally and the
@@ -26,11 +27,12 @@ SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
 STRATEGY_FREEZE_SUBCUBE = "freeze-subcube"
+STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 
 @dataclass
 class Assignment:
-    """Search-time color assignment: color_of[v] in 1..K, or UNASSIGNED."""
+    """Search-time color assignment: color_of[v] in 1..K for every vertex."""
 
     params: Params
     color_of: list[int]
@@ -42,36 +44,29 @@ class Assignment:
             )
         limit = self.params.num_colors
         for v, c in enumerate(self.color_of):
-            if c == UNASSIGNED:
-                continue
             if c < 1 or (limit is not None and c > limit):
                 raise ValueError(f"vertex {v} has color {c} outside 1..{limit}")
 
-    def is_complete(self) -> bool:
-        return UNASSIGNED not in self.color_of
-
     def to_coloring(self) -> Coloring:
         """Convert to a Coloring with one class per color 1..K."""
-        if not self.is_complete():
-            raise ValueError("assignment has unassigned vertices")
         num = self.params.num_colors or max(self.color_of)
         classes: list[list[int]] = [[] for _ in range(num)]
         for v, c in enumerate(self.color_of):
             classes[c - 1].append(v)
-        params = replace(self.params, num_colors=num)
-        return coloring_from_classes(params, classes)
+        return coloring_from_classes(self.params, classes)
 
 
 def assignment_from_coloring(col: Coloring) -> Assignment:
-    """Inverse of Assignment.to_coloring; a word in two classes is a ValueError."""
+    """Inverse of Assignment.to_coloring; a word in two classes or in none is a ValueError."""
     color_of = [UNASSIGNED] * col.params.num_words
     for idx, c in enumerate(col.classes, start=1):
         for w in c.words:
             if color_of[w] != UNASSIGNED:
                 raise ValueError(f"word {w} is in classes {color_of[w]} and {idx}")
             color_of[w] = idx
-    params = replace(col.params, num_colors=col.params.num_colors or len(col.classes))
-    return Assignment(params, color_of)
+    if UNASSIGNED in color_of:
+        raise ValueError(f"word {color_of.index(UNASSIGNED)} is in no class")
+    return Assignment(col.params, color_of)
 
 
 @dataclass(frozen=True)
@@ -141,8 +136,6 @@ def _conflicted_vertices(color_of: list[int], masks: list[int], frozen: frozense
 
 def conflict_count(a: Assignment) -> int:
     """Number of unordered same-color pairs at distance 1..k."""
-    if not a.is_complete():
-        raise ValueError("assignment has unassigned vertices")
     return _count_conflicts(a.color_of, ball_masks(a.params.n, a.params.k))
 
 
@@ -335,8 +328,6 @@ def tabu_search(
     if init is not None:
         if init.params.n != params.n or init.params.k != params.k:
             raise ValueError("init assignment has different n or k")
-        if not init.is_complete():
-            raise ValueError("init assignment must be fully assigned")
         if any(c > num_colors for c in init.color_of):
             raise ValueError("init assignment uses colors above num_colors")
     elif config.frozen:

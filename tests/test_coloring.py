@@ -60,12 +60,14 @@ def test_class_stats_histograms():
 
 
 def test_structural_errors_raise_not_report():
-    bad_n = Coloring(Params(3, 2), (CodeClass(frozenset([0]), 4),))
-    with pytest.raises(ValueError):
-        verify_coloring(bad_n)
-    wrong_count = coloring_from_classes(Params(3, 2, 5), Q3_PAIRS)
-    with pytest.raises(ValueError):
-        verify_coloring(wrong_count)
+    with pytest.raises(ValueError, match="class 1 has n=4, coloring has n=3"):
+        Coloring(Params(3, 2), (CodeClass(frozenset([0]), 4),))
+    with pytest.raises(ValueError, match="coloring declares 5 colors but has 4 classes"):
+        coloring_from_classes(Params(3, 2, 5), Q3_PAIRS)
+
+
+def test_missing_color_count_is_the_class_count():
+    assert coloring_from_classes(Params(3, 2), Q3_PAIRS).params.num_colors == 4
 
 
 def test_verify_valid_coloring():

@@ -1,18 +1,29 @@
 """Coloring file format and the command-line surface."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cubecolor
 from cubecolor import cli, coloring
 from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, fingerprint, verify_coloring
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
-from cubecolor.sat import coloring_to_model
+from cubecolor.sat import (
+    SYMMETRIES,
+    EncodeOptions,
+    coloring_to_model,
+    encode_coloring_cnf,
+    write_dimacs,
+)
 from cubecolor.search import greedy_color
 
 Q3_TEXT = "n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3 4\n"
@@ -258,6 +269,18 @@ def test_cli_search_init_rejects_a_word_in_two_classes(tmp_path, capsys):
     assert not (tmp_path / "x.txt").exists()
 
 
+def test_cli_search_init_rejects_a_word_in_no_class(tmp_path, capsys):
+    path = tmp_path / "gap.txt"
+    path.write_text("n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3\n")
+    rc = main(
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--init", str(path),
+         "--out", str(tmp_path / "x.txt")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: word 4 is in no class\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_cli_extend_double(q3_file, tmp_path, capsys):
     out_path = tmp_path / "q4.txt"
     rc = main(["extend", "--in", q3_file, "--strategy", "double", "--out", str(out_path)])
@@ -299,6 +322,17 @@ def test_cli_encode_decode_round_trip(tmp_path, capsys):
     assert rc == 0
     back = load_coloring(out_path.read_text())
     assert back.classes == col.classes
+
+
+@pytest.mark.parametrize("amo", [False, True])
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_cli_encode_writes_the_library_dimacs(tmp_path, capsys, symmetry, amo):
+    cnf_path = tmp_path / "q3.cnf"
+    argv = ["encode", "--n", "3", "--k", "2", "--colors", "4", "--symmetry", symmetry]
+    assert main(argv + ["--amo"] * amo + ["--out", str(cnf_path)]) == 0
+    options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
+    expected = write_dimacs(encode_coloring_cnf(Params(3, 2, 4), options))
+    assert cnf_path.read_bytes() == expected.encode()
 
 
 def test_cli_decode_model_incomplete_is_error(tmp_path, capsys):
@@ -368,6 +402,24 @@ def test_cli_fixture_pipes_into_verify(capsys, tmp_path):
     path = tmp_path / "fixture.txt"
     path.write_text(text)
     assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
+    path = tmp_path / "q8.txt"
+    path.write_text(save_coloring(q8_square_13_coloring()))
+    src = str(Path(cubecolor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecolor.cli", "stats", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # long before the child has imported enough to write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_cli_stdin_dash(capsys, monkeypatch):

@@ -29,18 +29,15 @@ Q3_COLORING = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5], [3, 4]])
 
 
 def test_assignment_validation():
-    a = Assignment(Q3_PARAMS, [1, 2, 3, 4, 4, 3, 2, 1])
-    assert a.is_complete()
+    Assignment(Q3_PARAMS, [1, 2, 3, 4, 4, 3, 2, 1])
     with pytest.raises(ValueError):
         Assignment(Q3_PARAMS, [1] * 7)
     with pytest.raises(ValueError):
         Assignment(Q3_PARAMS, [5] + [1] * 7)
     with pytest.raises(ValueError):
         Assignment(Q3_PARAMS, [-1] + [1] * 7)
-    partial = Assignment(Q3_PARAMS, [0] * 8)
-    assert not partial.is_complete()
-    with pytest.raises(ValueError):
-        partial.to_coloring()
+    with pytest.raises(ValueError, match="vertex 0 has color 0 outside 1..4"):
+        Assignment(Q3_PARAMS, [0] * 8)
 
 
 def test_assignment_coloring_round_trip():
@@ -54,6 +51,12 @@ def test_assignment_from_coloring_rejects_a_word_in_two_classes():
     dup = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5, 7], [3, 4]])
     with pytest.raises(ValueError, match="word 7 is in classes 1 and 3"):
         assignment_from_coloring(dup)
+
+
+def test_assignment_from_coloring_rejects_a_word_in_no_class():
+    gap = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5], [3]])
+    with pytest.raises(ValueError, match="word 4 is in no class"):
+        assignment_from_coloring(gap)
 
 
 @given(st.integers(0, 10**9))
