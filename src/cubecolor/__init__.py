@@ -27,7 +27,6 @@ from .coloring import (
     class_stats,
     coloring_from_classes,
     fingerprint,
-    min_distance,
     transform_coloring,
     verify_coloring,
 )
@@ -41,18 +40,14 @@ from .hamming import (
     hamming_distance,
     neighbors_within,
     random_automorphism,
-    weight,
 )
 from .sat import (
     CnfFormula,
     EncodeOptions,
     ModelDecodeError,
-    coloring_to_model,
     decode_model,
     encode_coloring_cnf,
-    evaluate,
     expected_clause_count,
-    parse_dimacs,
     parse_solver_model,
     var_index,
     write_dimacs,
@@ -96,23 +91,19 @@ __all__ = [
     "chromatic_lower_bound",
     "class_stats",
     "coloring_from_classes",
-    "coloring_to_model",
     "conflict_count",
     "decode_model",
     "default_table",
     "dsatur_color",
     "encode_coloring_cnf",
-    "evaluate",
     "exact_max_code_size",
     "extend_to_higher_dim",
     "fingerprint",
     "greedy_color",
     "hamming_distance",
     "load_coloring",
-    "min_distance",
     "neighbors_within",
     "packing_lower_bound",
-    "parse_dimacs",
     "parse_solver_model",
     "q8_square_13_coloring",
     "random_automorphism",
@@ -121,6 +112,5 @@ __all__ = [
     "transform_coloring",
     "var_index",
     "verify_coloring",
-    "weight",
     "write_dimacs",
 ]

@@ -1,8 +1,8 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 success (for verify/search: valid / zero conflicts within
---colors), 1 for "ran fine but the coloring is invalid / conflicts remain /
-more colors than --colors were used", 2 for structural
+Exit codes: 0 success (for verify/decode-model/search: valid / zero
+conflicts within --colors), 1 for "ran fine but the coloring is invalid /
+conflicts remain / more colors than --colors were used", 2 for structural
 problems (parse errors, unknown values, bad flags), 141 when the reader of
 stdout closed it early (128 + SIGPIPE, as a shell reports a pipe-killed
 command; nothing is printed).  The distinction lets scripts drive restart
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bounds import chromatic_lower_bound
-from .coloring import class_stats, fingerprint_from_stats, verify_coloring
+from .coloring import VerifyReport, class_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
 from .fixture import q8_square_13_coloring
 from .hamming import Params
@@ -54,6 +54,10 @@ def _fmt_distance(d) -> str:
     return "inf" if d == float("inf") else str(d)
 
 
+def _status(report: VerifyReport) -> str:
+    return f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     col = _load(args.file)
     report = verify_coloring(col)
@@ -67,7 +71,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     hidden = report.num_violations - len(report.violations)
     if hidden > 0:
         print(f"... and {hidden} more violations")
-    print(f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}")
+    print(_status(report))
     return 0 if report.valid else 1
 
 
@@ -144,7 +148,9 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
     col = decode_model(true_vars, params)
     Path(args.out).write_text(save_coloring(col))
     print(f"decoded {len(col.classes)} classes")
-    return 0
+    report = verify_coloring(col)
+    print(_status(report))
+    return 0 if report.valid else 1
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

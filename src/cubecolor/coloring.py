@@ -14,7 +14,9 @@ from itertools import chain, combinations, islice
 
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
 
-#: Sentinel minimum distance of a code with fewer than two words.
+#: Sentinel minimum distance of a code with fewer than two words.  Never a
+#: finite number, so singleton and empty classes, which occur mid-search,
+#: stay unambiguous.
 INFINITE_DISTANCE = math.inf
 
 #: Violations a VerifyReport keeps as witnesses; num_violations counts them all.
@@ -75,15 +77,6 @@ class Coloring:
 def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozenset[int]]) -> Coloring:
     """Convenience constructor from plain word collections."""
     return Coloring(params, tuple(CodeClass(frozenset(c), params.n) for c in classes))
-
-
-def min_distance(c: CodeClass) -> int | float:
-    """Minimum Hamming distance over distinct pairs; INFINITE_DISTANCE if |c| <= 1.
-
-    The sentinel (never a magic finite number) keeps singleton and empty
-    classes, which occur mid-search, unambiguous.
-    """
-    return class_stats(c).min_distance
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,6 @@ def hamming_distance(u: int, v: int) -> int:
     return (u ^ v).bit_count()
 
 
-def weight(v: int) -> int:
-    """Number of set coordinates; equals hamming_distance(v, 0)."""
-    return v.bit_count()
-
-
 def ball_size(n: int, r: int) -> int:
     """Number of words within distance r of any fixed center: sum of C(n, i)."""
     if not 0 <= r <= n:

@@ -21,10 +21,13 @@ SYMMETRY_FIX_VERTEX_0 = "fix-vertex-0"
 SYMMETRY_FIX_CLIQUE = "fix-clique"
 SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 
-#: Largest formula encode_coloring_cnf builds.  The clauses are held as
-#: tuples and the CLI writes them out line by line, about 155 bytes per
-#: clause at peak (5.9M clauses for (12,2,37) took 886 MiB, 2.0M for
-#: (11,2,30) took 314 MiB), so this keeps an encode under 1 GiB.
+#: Largest formula encode_coloring_cnf builds, as a bound on both its clause
+#: count and its variable count.  The clauses are held as tuples and the CLI
+#: writes them out line by line, about 155 bytes per clause at peak (5.9M
+#: clauses for (12,2,37) took 886 MiB, 2.0M for (11,2,30) took 314 MiB).  The
+#: at-least-one clauses hold every variable once, about 42 bytes each (4.2M
+#: variables in 2048 clauses for (11,0,2048) took 176 MiB).  Either bound
+#: keeps an encode under 1 GiB.
 MAX_CLAUSES = 6_000_000
 
 
@@ -81,15 +84,15 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     Q_n^k, to colors 1, 2, ...
     """
     options = options or EncodeOptions()
-    if params.num_colors is None:
-        raise ValueError("encoding needs params.num_colors")
-    if params.n > 16:
-        raise ValueError("encoding supports n <= 16 (variable count must stay desk-scale)")
-    count = expected_clause_count(params, options)
-    if count > MAX_CLAUSES:
-        raise ValueError(f"encoding would build {count} clauses, above the limit of {MAX_CLAUSES}")
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
+    count = expected_clause_count(params, options)  # raises when num_colors is None
+    num_vars = size * num_colors
+    for what, amount in (("clauses", count), ("variables", num_vars)):
+        if amount > MAX_CLAUSES:
+            raise ValueError(
+                f"encoding would build {amount} {what}, above the limit of {MAX_CLAUSES}"
+            )
 
     clauses: list[tuple[int, ...]] = []
     for v in range(size):
@@ -125,12 +128,14 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
         f" symmetry={options.symmetry}",
         f"var(v,c) = v*{num_colors} + c, v in 0..{size - 1}, c in 1..{num_colors}",
     )
-    return CnfFormula(num_vars=size * num_colors, clauses=tuple(clauses), comments=comments)
+    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses), comments=comments)
 
 
 def expected_clause_count(params: Params, options: EncodeOptions | None = None) -> int:
     """Closed-form clause count, kept as an independent check on the encoder."""
     options = options or EncodeOptions()
+    if params.num_colors is None:
+        raise ValueError("encoding needs params.num_colors")
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
     pairs = size * (ball_size(n, k) - 1) // 2
@@ -157,58 +162,6 @@ def dimacs_lines(f: CnfFormula) -> Iterator[str]:
 def write_dimacs(f: CnfFormula) -> str:
     """Standard DIMACS CNF text; byte-stable for a fixed formula."""
     return "".join(dimacs_lines(f))
-
-
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF; inverse of write_dimacs on its own output."""
-    comments: list[str] = []
-    num_vars: int | None = None
-    num_clauses: int | None = None
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for lineno, line in content_lines(text):
-        if line.startswith("c"):
-            if num_vars is None:
-                comments.append(line[2:] if line.startswith("c ") else line[1:])
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars, num_clauses = parse_ints(parts[2:], lineno)
-            continue
-        if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before problem line")
-        for lit in parse_ints(line.split(), lineno):
-            if lit == 0:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        raise ValueError("trailing clause without terminating 0")
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    if num_clauses != len(clauses):
-        raise ValueError(f"header declares {num_clauses} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses), comments=tuple(comments))
-
-
-def evaluate(f: CnfFormula, true_vars: set[int]) -> bool:
-    """True iff every clause has a satisfied literal (variables absent from
-    true_vars are false)."""
-    return all(
-        any((lit > 0) == (abs(lit) in true_vars) for lit in cl) for cl in f.clauses
-    )
-
-
-def coloring_to_model(col: Coloring) -> set[int]:
-    """Canonical model of a coloring: exactly var(v, color(v)) is true."""
-    model: set[int] = set()
-    for idx, cls in enumerate(col.classes, start=1):
-        for w in cls.words:
-            model.add(var_index(w, idx, col.params.num_colors))
-    return model
 
 
 def decode_model(true_vars: set[int], params: Params) -> Coloring:

@@ -45,7 +45,8 @@ class Assignment:
         limit = self.params.num_colors
         for v, c in enumerate(self.color_of):
             if c < 1 or (limit is not None and c > limit):
-                raise ValueError(f"vertex {v} has color {c} outside 1..{limit}")
+                rule = "but colors start at 1" if limit is None else f"outside 1..{limit}"
+                raise ValueError(f"vertex {v} has color {c} {rule}")
 
     def to_coloring(self) -> Coloring:
         """Convert to a Coloring with one class per color 1..K."""

@@ -77,6 +77,37 @@ def naive_violation_count(n: int, k: int, classes) -> int:
     return repeats + missing + close
 
 
+def coloring_to_model(col: Coloring) -> set[int]:
+    """Canonical model of a coloring: "word w has color c" is true, as
+    variable w*K + c, for each word w of class c, and nothing else."""
+    num_colors = col.params.num_colors
+    return {w * num_colors + c for c, cls in enumerate(col.classes, start=1) for w in cls.words}
+
+
+def evaluate(formula, true_vars: set[int]) -> bool:
+    """True iff every clause has a satisfied literal (variables absent from
+    true_vars are false)."""
+    return all(
+        any((lit > 0) == (abs(lit) in true_vars) for lit in clause) for clause in formula.clauses
+    )
+
+
+def read_dimacs(text: str) -> tuple[list[str], int, int, list[tuple[int, ...]]]:
+    """(comments, num_vars, num_clauses, clauses) of DIMACS text with one
+    0-terminated clause per line.  No error handling: for the writer's output."""
+    comments, clauses = [], []
+    for line in text.splitlines():
+        if line.startswith("c "):
+            comments.append(line[2:])
+        elif line.startswith("p cnf "):
+            num_vars, num_clauses = map(int, line.split()[2:])
+        else:
+            *literals, end = map(int, line.split())
+            assert end == 0, line
+            clauses.append(tuple(literals))
+    return comments, num_vars, num_clauses, clauses
+
+
 def reference_dsatur(params: Params) -> Coloring:
     """DSATUR as first written: an O(N^2) scan of every vertex to choose each one.
 

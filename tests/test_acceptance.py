@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from cubecolor.bounds import exact_max_code_size
 from cubecolor.cli import main
 from cubecolor.coloring import (
@@ -23,13 +24,7 @@ from cubecolor.coloring import (
 from cubecolor.files import load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params, hamming_distance, random_automorphism
-from cubecolor.sat import (
-    coloring_to_model,
-    decode_model,
-    encode_coloring_cnf,
-    evaluate,
-    var_index,
-)
+from cubecolor.sat import decode_model, encode_coloring_cnf, var_index
 from cubecolor.search import SearchConfig, tabu_search
 
 
@@ -110,7 +105,7 @@ def test_c6_sat_round_trip(announce):
     # (a) the embedded 13-coloring satisfies its own encoding
     col = q8_square_13_coloring()
     formula = encode_coloring_cnf(Params(8, 2, 13))
-    big_ok = evaluate(formula, coloring_to_model(col))
+    big_ok = oracles.evaluate(formula, oracles.coloring_to_model(col))
 
     # (b) exhaustive check at n=2, k=2, K=4: 16 variables, 2^16 assignments.
     params = Params(2, 2, 4)
@@ -145,7 +140,7 @@ def test_c6_sat_round_trip(announce):
         if is_valid:
             valid_count += 1
             model = {var_index(v, color_of[v] + 1, 4) for v in range(4)}
-            maps_ok = maps_ok and evaluate(small, model)
+            maps_ok = maps_ok and oracles.evaluate(small, model)
 
     ok = (
         big_ok

@@ -17,7 +17,6 @@ from cubecolor.coloring import (
     class_stats,
     coloring_from_classes,
     fingerprint,
-    min_distance,
     transform_coloring,
     verify_coloring,
 )
@@ -42,10 +41,10 @@ def test_code_class_basics():
 
 
 def test_min_distance_sentinel_and_values():
-    assert min_distance(CodeClass(frozenset(), 3)) == INFINITE_DISTANCE
-    assert min_distance(CodeClass(frozenset([5]), 3)) == INFINITE_DISTANCE
-    assert min_distance(CodeClass(frozenset([0, 7]), 3)) == 3
-    assert min_distance(CodeClass(frozenset([0, 3, 7]), 3)) == 1
+    assert class_stats(CodeClass(frozenset(), 3)).min_distance == INFINITE_DISTANCE
+    assert class_stats(CodeClass(frozenset([5]), 3)).min_distance == INFINITE_DISTANCE
+    assert class_stats(CodeClass(frozenset([0, 7]), 3)).min_distance == 3
+    assert class_stats(CodeClass(frozenset([0, 3, 7]), 3)).min_distance == 1
     assert INFINITE_DISTANCE == math.inf
 
 

@@ -11,19 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cubecolor
+import oracles
 from cubecolor import cli, coloring
 from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, fingerprint, verify_coloring
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
-from cubecolor.sat import (
-    SYMMETRIES,
-    EncodeOptions,
-    coloring_to_model,
-    encode_coloring_cnf,
-    write_dimacs,
-)
+from cubecolor.sat import SYMMETRIES, EncodeOptions, encode_coloring_cnf, write_dimacs
 from cubecolor.search import greedy_color
 
 Q3_TEXT = "n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3 4\n"
@@ -312,7 +307,7 @@ def test_cli_encode_decode_round_trip(tmp_path, capsys):
 
     model_path = tmp_path / "model.txt"
     col = coloring_from_classes(Params(3, 2, 4), [[0, 7], [1, 6], [2, 5], [3, 4]])
-    lits = sorted(coloring_to_model(col))
+    lits = sorted(oracles.coloring_to_model(col))
     model_path.write_text("v " + " ".join(map(str, lits)) + " 0\n")
     out_path = tmp_path / "decoded.txt"
     rc = main(
@@ -320,8 +315,28 @@ def test_cli_encode_decode_round_trip(tmp_path, capsys):
          "--model", str(model_path), "--out", str(out_path)]
     )
     assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["decoded 4 classes", "status: valid"]
     back = load_coloring(out_path.read_text())
     assert back.classes == col.classes
+
+
+def test_cli_decode_model_of_an_invalid_coloring_exits_1(tmp_path, capsys):
+    # The even/odd 2-coloring of Q_8 is proper for k = 1 but puts 3584 pairs
+    # at distance 2 in one class, so decoding it for k = 2 must not pass.
+    col = coloring_from_classes(
+        Params(8, 1, 2), [[w for w in range(256) if w.bit_count() % 2 == p] for p in (0, 1)]
+    )
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("v " + " ".join(map(str, sorted(oracles.coloring_to_model(col)))) + " 0\n")
+    out_path = tmp_path / "decoded.txt"
+    rc = main(
+        ["decode-model", "--n", "8", "--k", "2", "--colors", "2",
+         "--model", str(model_path), "--out", str(out_path)]
+    )
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["decoded 2 classes", "status: invalid (3584 violations)"]
+    assert load_coloring(out_path.read_text()).classes == col.classes
 
 
 @pytest.mark.parametrize("amo", [False, True])

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from cubecolor.bounds import KnownValueTable
 from cubecolor.cli import main
 from cubecolor.files import load_coloring
-from cubecolor.sat import parse_dimacs, parse_solver_model
+from cubecolor.sat import parse_solver_model
 
 # Tokens that reach the readers' branches: keywords, comment and status
 # markers, integers in and out of every range, and things int() rejects.
 TOKENS = st.one_of(
-    st.sampled_from(["n", "k", "classes", "class", "#", "c", "s", "v", "p", "cnf", "0", "-0"]),
+    st.sampled_from(["n", "k", "classes", "class", "#", "c", "s", "v", "0", "-0"]),
     st.integers(-(2**25), 2**25).map(str),
     st.text(min_size=1, max_size=4),
 )
@@ -45,14 +45,6 @@ def coloring_texts(draw, n=st.integers(1, 24)):
 
 
 @st.composite
-def dimacs_texts(draw):
-    num_vars, num_clauses = draw(st.integers(0, 30)), draw(st.integers(0, 5))
-    rows = draw(_rows(-num_vars - 1, num_vars + 1, num_clauses))
-    body = "".join(" ".join([*row, "0"]) + "\n" for row in rows)
-    return f"c fuzz\np cnf {num_vars} {num_clauses}\n{body}"
-
-
-@st.composite
 def solver_model_texts(draw):
     rows = draw(_rows(-50, 50, draw(st.integers(0, 4))))
     return "s SATISFIABLE\n" + "".join(" ".join(["v", *row]) + "\n" for row in rows)
@@ -74,7 +66,6 @@ def _rejects_only_with_value_error(reader, text: str) -> None:
 READERS = {
     "load_coloring": load_coloring,
     "parse_solver_model": parse_solver_model,
-    "parse_dimacs": parse_dimacs,
     "known_value_table": KnownValueTable.from_text,
 }
 
@@ -82,7 +73,6 @@ READERS = {
 WELL_FORMED_START = {
     "load_coloring": coloring_texts(),
     "parse_solver_model": solver_model_texts(),
-    "parse_dimacs": dimacs_texts(),
     "known_value_table": table_texts(),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.hamming import Params
 from cubecolor.search import greedy_color
@@ -15,12 +16,9 @@ from cubecolor.sat import (
     CnfFormula,
     EncodeOptions,
     ModelDecodeError,
-    coloring_to_model,
     decode_model,
     encode_coloring_cnf,
-    evaluate,
     expected_clause_count,
-    parse_dimacs,
     parse_solver_model,
     var_index,
     write_dimacs,
@@ -58,8 +56,26 @@ def test_encode_options_validation():
 def test_encode_requires_color_count_and_small_n():
     with pytest.raises(ValueError):
         encode_coloring_cnf(Params(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="40239104 clauses"):
         encode_coloring_cnf(Params(17, 2, 4))
+
+
+def test_expected_clause_count_needs_a_color_count():
+    with pytest.raises(ValueError, match="needs params.num_colors"):
+        expected_clause_count(Params(3, 1))
+
+
+def test_encode_bounds_variables_as_well_as_clauses():
+    # One variable per (vertex, color), each held once by an at-least-one
+    # clause; n > 16 is fine while both counts stay under the limit.
+    f = encode_coloring_cnf(Params(17, 0, 1))
+    assert len(f.clauses) == f.num_vars == 131072
+    # Checked on the closed form, so these raise before building anything.
+    # The smaller case runs first: were the check lost, it would fail at
+    # about 350 MiB instead of the second reaching for about 10 GiB.
+    for n, colors, num_vars in ((13, 1024, 8_388_608), (14, 16384, 268_435_456)):
+        with pytest.raises(ValueError, match=f"{num_vars} variables"):
+            encode_coloring_cnf(Params(n, 0, colors))
 
 
 def test_encode_rejects_oversized_formula_before_building_it():
@@ -109,9 +125,9 @@ def test_fix_clique_pins_the_ball_around_zero():
 def test_dimacs_round_trip():
     f = encode_coloring_cnf(Q3_PARAMS, EncodeOptions(at_most_one=True, symmetry="fix-vertex-0"))
     text = write_dimacs(f)
-    g = parse_dimacs(text)
-    assert g == f
-    assert write_dimacs(g) == text
+    comments, num_vars, num_clauses, clauses = oracles.read_dimacs(text)
+    assert (comments, num_vars, num_clauses) == (list(f.comments), f.num_vars, len(f.clauses))
+    assert tuple(clauses) == f.clauses
 
 
 def test_dimacs_format_shape():
@@ -141,43 +157,16 @@ def test_dimacs_bytes_are_pinned(n, k, colors, amo, symmetry, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p cnf 2\n1 0\n",  # malformed problem line
-        "1 2 0\n",  # clause before header
-        "p cnf 2 1\n1 2\n",  # missing terminating 0
-        "p cnf 2 3\n1 2 0\n",  # count mismatch
-    ],
-)
-def test_parse_dimacs_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        parse_dimacs(text)
-
-
-@pytest.mark.parametrize(
-    "text,lineno",
-    [
-        ("c x\np cnf 2 1\n1 x 0\n", 3),  # bad literal in a clause
-        ("p cnf two 1\n1 0\n", 1),  # non-integer variable count
-        ("p cnf 2 1.0\n1 0\n", 1),  # non-integer clause count
-    ],
-)
-def test_parse_dimacs_names_the_line_of_a_bad_integer(text, lineno):
-    with pytest.raises(ValueError, match=f"^line {lineno}: invalid literal for int"):
-        parse_dimacs(text)
-
-
 def test_valid_coloring_satisfies_plain_formula():
     f = encode_coloring_cnf(Q3_PARAMS)
-    assert evaluate(f, coloring_to_model(Q3_COLORING))
+    assert oracles.evaluate(f, oracles.coloring_to_model(Q3_COLORING))
 
 
 def test_conflicting_assignment_falsifies_formula():
     f = encode_coloring_cnf(Q3_PARAMS)
     # all vertices color 1: every conflict clause on color 1 breaks
     model = {var_index(v, 1, 4) for v in range(8)}
-    assert not evaluate(f, model)
+    assert not oracles.evaluate(f, model)
 
 
 def test_amo_clauses_forbid_double_colors():
@@ -188,19 +177,19 @@ def test_amo_clauses_forbid_double_colors():
     col = coloring_from_classes(params, [[0, 3, 5, 6], [1, 2, 4, 7], []])
     plain = encode_coloring_cnf(params)
     strict = encode_coloring_cnf(params, EncodeOptions(at_most_one=True))
-    doubled = coloring_to_model(col) | {var_index(0, 3, 3)}
-    assert evaluate(plain, doubled)
-    assert not evaluate(strict, doubled)
+    doubled = oracles.coloring_to_model(col) | {var_index(0, 3, 3)}
+    assert oracles.evaluate(plain, doubled)
+    assert not oracles.evaluate(strict, doubled)
 
 
 def test_model_round_trip():
-    model = coloring_to_model(Q3_COLORING)
+    model = oracles.coloring_to_model(Q3_COLORING)
     back = decode_model(model, Q3_PARAMS)
     assert back.classes == Q3_COLORING.classes
 
 
 def test_decode_picks_smallest_color_and_flags_gaps():
-    model = coloring_to_model(Q3_COLORING) | {var_index(0, 3, 4)}
+    model = oracles.coloring_to_model(Q3_COLORING) | {var_index(0, 3, 4)}
     col = decode_model(model, Q3_PARAMS)
     assert 0 in col.classes[0].words  # color 1 beats color 3
     with pytest.raises(ModelDecodeError):
@@ -231,7 +220,7 @@ def test_decoded_coloring_matches_solver_model_semantics(seed):
     rng.shuffle(perm)
     col = greedy_color(Params(3, 2), perm)
     params = Params(3, 2, len(col.classes))
-    model = coloring_to_model(col)
+    model = oracles.coloring_to_model(col)
     text = "v " + " ".join(str(x) for x in sorted(model)) + " 0\n"
     back = decode_model(parse_solver_model(text), params)
     assert back.classes == col.classes

@@ -38,6 +38,8 @@ def test_assignment_validation():
         Assignment(Q3_PARAMS, [-1] + [1] * 7)
     with pytest.raises(ValueError, match="vertex 0 has color 0 outside 1..4"):
         Assignment(Q3_PARAMS, [0] * 8)
+    with pytest.raises(ValueError, match="^vertex 0 has color 0 but colors start at 1$"):
+        Assignment(Params(3, 2), [0] * 8)
 
 
 def test_assignment_coloring_round_trip():
