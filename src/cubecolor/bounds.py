@@ -10,12 +10,11 @@ bound (maximum independent set of the distance-< d conflict graph, with word
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
 from .files import content_lines, parse_ints
+from .frozen import Frozen
 from .hamming import Params, ball_masks
 
 # Exact search is desk-scale only; beyond this the conflict graph and the
@@ -39,11 +38,13 @@ class TableEntry(NamedTuple):
     citation: str
 
 
-@dataclass(frozen=True)
-class KnownValueTable:
+class KnownValueTable(Frozen):
     """Known maximum code sizes A(n, d) with provenance."""
 
-    entries: dict[tuple[int, int], TableEntry]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, int], TableEntry]) -> None:
+        self._init(entries=entries)
 
     def get(self, n: int, d: int) -> TableEntry | None:
         return self.entries.get((n, d))
@@ -65,6 +66,8 @@ class KnownValueTable:
 
 @cache
 def default_table() -> KnownValueTable:
+    import importlib.resources  # here, not at the top: on 3.12+ it imports inspect
+
     text = (
         importlib.resources.files(__package__).joinpath("data/known_code_sizes.txt").read_text()
     )

@@ -23,6 +23,7 @@ from .fixture import q8_square_13_coloring
 from .hamming import Params
 from .sat import (
     SYMMETRIES,
+    SYMMETRY_NONE,
     EncodeOptions,
     decode_model,
     dimacs_lines,
@@ -86,9 +87,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _add_search_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SearchConfig.rng_seed)
-    p.add_argument("--max-iters", type=int, default=SearchConfig.max_iterations)
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    defaults = SearchConfig()
+    p.add_argument("--seed", type=int, default=defaults.rng_seed)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--symmetry", choices=SYMMETRIES, default=EncodeOptions.symmetry)
+    p.add_argument("--symmetry", choices=SYMMETRIES, default=SYMMETRY_NONE)
     p.add_argument("--amo", action="store_true", help="add pairwise at-most-one clauses")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)

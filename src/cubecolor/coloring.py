@@ -9,9 +9,10 @@ concrete witness; per-class statistics are computed either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, islice
+from typing import NamedTuple
 
+from .frozen import Frozen
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
 
 #: Sentinel minimum distance of a code with fewer than two words.  Never a
@@ -23,17 +24,16 @@ INFINITE_DISTANCE = math.inf
 MAX_WITNESSES = 20
 
 
-@dataclass(frozen=True)
-class CodeClass:
+class CodeClass(Frozen):
     """One color class: a set of words of {0,1}^n."""
 
-    words: frozenset[int]
-    n: int
+    __slots__ = ("words", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", frozenset(self.words))
-        for w in self.words:
-            check_word(w, self.n)
+    def __init__(self, words: frozenset[int], n: int) -> None:
+        words = frozenset(words)
+        for w in words:
+            check_word(w, n)
+        self._init(words=words, n=n)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -42,8 +42,7 @@ class CodeClass:
         return sorted(self.words)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Frozen):
     """A full color assignment for Q_n^k, viewed as a list of code classes.
 
     classes[i] holds the words of color i+1.  Some classes may be empty while
@@ -57,21 +56,20 @@ class Coloring:
     itself is well-formed.
     """
 
-    params: Params
-    classes: tuple[CodeClass, ...]
+    __slots__ = ("params", "classes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        for i, c in enumerate(self.classes, start=1):
-            if c.n != self.params.n:
-                raise ValueError(f"class {i} has n={c.n}, coloring has n={self.params.n}")
-        if self.params.num_colors is None:
-            object.__setattr__(self, "params", replace(self.params, num_colors=len(self.classes)))
-        elif len(self.classes) != self.params.num_colors:
+    def __init__(self, params: Params, classes: tuple[CodeClass, ...]) -> None:
+        classes = tuple(classes)
+        for i, c in enumerate(classes, start=1):
+            if c.n != params.n:
+                raise ValueError(f"class {i} has n={c.n}, coloring has n={params.n}")
+        if params.num_colors is None:
+            params = Params(params.n, params.k, len(classes))
+        elif len(classes) != params.num_colors:
             raise ValueError(
-                f"coloring declares {self.params.num_colors} colors"
-                f" but has {len(self.classes)} classes"
+                f"coloring declares {params.num_colors} colors but has {len(classes)} classes"
             )
+        self._init(params=params, classes=classes)
 
 
 def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozenset[int]]) -> Coloring:
@@ -79,8 +77,7 @@ def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozen
     return Coloring(params, tuple(CodeClass(frozenset(c), params.n) for c in classes))
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     """Size, minimum distance, and weight/distance histograms of one class.
 
     weight_distribution[w] counts words of weight w (length n+1);
@@ -111,8 +108,7 @@ def class_stats(c: CodeClass) -> ClassStats:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One concrete failure: which condition broke, on which words, in which classes.
 
     kind is one of "missing-word", "duplicate-word", "distance-violation".
@@ -124,13 +120,12 @@ class Violation:
     classes: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """violations holds the first MAX_WITNESSES of num_violations, in check order."""
 
     valid: bool
     violations: tuple[Violation, ...] = ()
-    per_class: tuple[ClassStats, ...] = field(default_factory=tuple)
+    per_class: tuple[ClassStats, ...] = ()
     num_violations: int = 0
 
 

@@ -8,17 +8,17 @@ bit-order convention.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+from .frozen import Frozen
 
 # A word must fit comfortably in one machine word and full-space arrays
 # (2^n entries) must stay desk-scale.
 MAX_DIMENSION = 24
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Instance parameters: cube dimension n, power k, optional color count.
 
     (n, k) fixes the graph Q_n^k: vertices {0,1}^n, edges between words at
@@ -26,17 +26,16 @@ class Params:
     being verified or searched for.
     """
 
-    n: int
-    k: int
-    num_colors: int | None = None
+    __slots__ = ("n", "k", "num_colors")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension n must be in 1..{MAX_DIMENSION}, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"power k must be in 0..n={self.n}, got {self.k}")
-        if self.num_colors is not None and not 1 <= self.num_colors <= 1 << self.n:
-            raise ValueError(f"num_colors must be in 1..2^n, got {self.num_colors}")
+    def __init__(self, n: int, k: int, num_colors: int | None = None) -> None:
+        if not 1 <= n <= MAX_DIMENSION:
+            raise ValueError(f"dimension n must be in 1..{MAX_DIMENSION}, got {n}")
+        if not 0 <= k <= n:
+            raise ValueError(f"power k must be in 0..n={n}, got {k}")
+        if num_colors is not None and not 1 <= num_colors <= 1 << n:
+            raise ValueError(f"num_colors must be in 1..2^n, got {num_colors}")
+        self._init(n=n, k=k, num_colors=num_colors)
 
     @property
     def num_words(self) -> int:
@@ -86,8 +85,7 @@ def neighbors_within(v: int, params: Params) -> list[int]:
     return sorted([v ^ m for m in ball_masks(n, k)])
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Frozen):
     """Distance-preserving map of {0,1}^n: permute coordinates, then XOR a word.
 
     Bit i of the input lands on bit perm[i] of the output, after which the
@@ -95,18 +93,18 @@ class Automorphism:
     the Hamming space (hyperoctahedral group).
     """
 
-    perm: tuple[int, ...]
-    translation: int = 0
+    __slots__ = ("perm", "translation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-        n = len(self.perm)
+    def __init__(self, perm: tuple[int, ...], translation: int = 0) -> None:
+        perm = tuple(perm)
+        n = len(perm)
         if not 1 <= n <= MAX_DIMENSION:
             raise ValueError(f"permutation length must be in 1..{MAX_DIMENSION}")
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..{n - 1}")
-        if not 0 <= self.translation < 1 << n:
-            raise ValueError(f"translation {self.translation} out of range for n={n}")
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+        if not 0 <= translation < 1 << n:
+            raise ValueError(f"translation {translation} out of range for n={n}")
+        self._init(perm=perm, translation=translation)
 
     @property
     def n(self) -> int:

@@ -9,11 +9,11 @@ last) so generated files are byte-identical across runs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
+from .frozen import Frozen
 from .hamming import Params, ball_masks, ball_size
 
 SYMMETRY_NONE = "none"
@@ -35,37 +35,36 @@ class ModelDecodeError(ValueError):
     """A model leaves some vertex without a true color variable."""
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
-    comments: tuple[str, ...] = field(default_factory=tuple)
+class CnfFormula(Frozen):
+    __slots__ = ("num_vars", "clauses", "comments")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(tuple(cl) for cl in self.clauses))
-        object.__setattr__(self, "comments", tuple(self.comments))
-        if self.num_vars < 0:
+    def __init__(
+        self, num_vars: int, clauses: tuple[tuple[int, ...], ...], comments: tuple[str, ...] = ()
+    ) -> None:
+        clauses = tuple(tuple(cl) for cl in clauses)
+        comments = tuple(comments)
+        if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for cl in self.clauses:
+        for cl in clauses:
             if not cl:
                 raise ValueError("empty clause")
             seen = set()
             for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range for {self.num_vars} variables")
+                if lit == 0 or abs(lit) > num_vars:
+                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
                 if -lit in seen:
                     raise ValueError(f"clause {cl} contains both {lit} and {-lit}")
                 seen.add(lit)
+        self._init(num_vars=num_vars, clauses=clauses, comments=comments)
 
 
-@dataclass(frozen=True)
-class EncodeOptions:
-    at_most_one: bool = False
-    symmetry: str = SYMMETRY_NONE
+class EncodeOptions(Frozen):
+    __slots__ = ("at_most_one", "symmetry")
 
-    def __post_init__(self) -> None:
-        if self.symmetry not in SYMMETRIES:
-            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {self.symmetry!r}")
+    def __init__(self, at_most_one: bool = False, symmetry: str = SYMMETRY_NONE) -> None:
+        if symmetry not in SYMMETRIES:
+            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
+        self._init(at_most_one=at_most_one, symmetry=symmetry)
 
 
 def var_index(v: int, c: int, num_colors: int) -> int:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
-from .hamming import Params, ball_masks
+from .frozen import Frozen
+from .hamming import Params, ball_masks, ball_size
 
 #: color_of entry for a vertex not colored yet, while greedy, DSATUR or
 #: assignment_from_coloring fills the list; an Assignment never holds it.
@@ -29,24 +30,35 @@ STRATEGY_DOUBLE = "double"
 STRATEGY_FREEZE_SUBCUBE = "freeze-subcube"
 STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
+#: Largest working memory, in bytes, that greedy_color, dsatur_color and
+#: tabu_search may estimate for a run before allocating it.  The estimates
+#: round up tracemalloc peaks per vertex: tabu 526 B at K = 20, 846 B at K = 40;
+#: greedy 110 B; DSATUR, whose heap keeps an entry per colored neighbor, 100 B
+#: per mask (n = 13..16, k = 2).
+MAX_SEARCH_BYTES = 1 << 30
 
-@dataclass
+
+def _check_memory(what: str, estimate: int) -> None:
+    if estimate > MAX_SEARCH_BYTES:
+        raise ValueError(
+            f"{what} would need about {estimate >> 20} MiB,"
+            f" above the limit of {MAX_SEARCH_BYTES >> 20} MiB"
+        )
+
+
 class Assignment:
     """Search-time color assignment: color_of[v] in 1..K for every vertex."""
 
-    params: Params
-    color_of: list[int]
-
-    def __post_init__(self) -> None:
-        if len(self.color_of) != self.params.num_words:
-            raise ValueError(
-                f"color_of has length {len(self.color_of)}, expected {self.params.num_words}"
-            )
-        limit = self.params.num_colors
-        for v, c in enumerate(self.color_of):
+    def __init__(self, params: Params, color_of: list[int]) -> None:
+        if len(color_of) != params.num_words:
+            raise ValueError(f"color_of has length {len(color_of)}, expected {params.num_words}")
+        limit = params.num_colors
+        for v, c in enumerate(color_of):
             if c < 1 or (limit is not None and c > limit):
                 rule = "but colors start at 1" if limit is None else f"outside 1..{limit}"
                 raise ValueError(f"vertex {v} has color {c} {rule}")
+        self.params = params
+        self.color_of = color_of
 
     def to_coloring(self) -> Coloring:
         """Convert to a Coloring with one class per color 1..K."""
@@ -70,8 +82,7 @@ def assignment_from_coloring(col: Coloring) -> Assignment:
     return Assignment(col.params, color_of)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Frozen):
     """Tabu/restart knobs.
 
     Tenure follows the classic graph-coloring setting: a reverted (vertex,
@@ -82,25 +93,30 @@ class SearchConfig:
     frozen vertices keep the color given by the initial assignment.
     """
 
-    rng_seed: int = 0
-    max_iterations: int = 100_000
-    restarts: int = 0
-    tabu_tenure_base: int = 7
-    tabu_tenure_slope: float = 0.6
-    frozen: frozenset[int] = field(default_factory=frozenset)
-    self_check: bool = False
+    __slots__ = (
+        "rng_seed", "max_iterations", "restarts", "tabu_tenure_base", "tabu_tenure_slope",
+        "frozen", "self_check",
+    )
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+    def __init__(
+        self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0,
+        tabu_tenure_base: int = 7, tabu_tenure_slope: float = 0.6,
+        frozen: frozenset[int] = frozenset(), self_check: bool = False,
+    ) -> None:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.restarts < 0:
+        if restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if self.tabu_tenure_base < 0 or self.tabu_tenure_slope < 0:
+        if tabu_tenure_base < 0 or tabu_tenure_slope < 0:
             raise ValueError("tabu tenure parameters must be nonnegative")
+        self._init(
+            rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts,
+            tabu_tenure_base=tabu_tenure_base, tabu_tenure_slope=tabu_tenure_slope,
+            frozen=frozen, self_check=self_check,
+        )
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Best assignment found plus the counters needed to reproduce it.
 
     conflicts is conflict_count(best).  seed_used is the seed of the restart
@@ -147,6 +163,7 @@ def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
     never needs more than its degree + 1.
     """
     size = params.num_words
+    _check_memory("greedy coloring", 160 * size)
     if order is None:
         order = range(size)
     elif sorted(order) != list(range(size)):
@@ -159,7 +176,7 @@ def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
         while c in used:
             c += 1
         color_of[v] = c
-    return Assignment(replace(params, num_colors=None), color_of).to_coloring()
+    return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
 def dsatur_color(params: Params) -> Coloring:
@@ -171,6 +188,7 @@ def dsatur_color(params: Params) -> Coloring:
     pushes a fresh entry and leaves the old one stale.
     """
     size = params.num_words
+    _check_memory("DSATUR", 104 * ball_size(params.n, params.k) * size)
     masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
     saturation: list[set[int]] = [set() for _ in range(size)]
@@ -192,7 +210,7 @@ def dsatur_color(params: Params) -> Coloring:
                 saturation[u].add(c)
                 uncolored_degree[u] -= 1
                 heapq.heappush(heap, (-len(saturation[u]), -uncolored_degree[u], u))
-    return Assignment(replace(params, num_colors=None), color_of).to_coloring()
+    return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
 def _tabu_run(
@@ -322,6 +340,7 @@ def tabu_search(
     config = config or SearchConfig()
     num_colors = params.num_colors
     size = params.num_words
+    _check_memory("tabu search", (16 * num_colors + 256) * size)
 
     for v in config.frozen:
         if not 0 <= v < size:
@@ -417,7 +436,12 @@ def extend_to_higher_dim(
         init = Assignment(
             params_out, base_colors + [rng.randrange(1, num_colors + 1) for _ in base_colors]
         )
-        frozen_config = replace(config, frozen=frozenset(range(len(base_colors))))
+        frozen_config = SearchConfig(
+            rng_seed=config.rng_seed, max_iterations=config.max_iterations,
+            restarts=config.restarts, tabu_tenure_base=config.tabu_tenure_base,
+            tabu_tenure_slope=config.tabu_tenure_slope, self_check=config.self_check,
+            frozen=frozenset(range(len(base_colors))),
+        )
         return tabu_search(params_out, frozen_config, init)
 
     raise ValueError(f"unknown strategy {strategy!r}")

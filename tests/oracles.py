@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 from cubecolor.coloring import Coloring
 from cubecolor.hamming import Params, ball_masks
@@ -141,7 +140,7 @@ def reference_dsatur(params: Params) -> Coloring:
             if color_of[u] == UNASSIGNED:
                 saturation[u].add(c)
                 uncolored_degree[u] -= 1
-    return Assignment(replace(params, num_colors=None), color_of).to_coloring()
+    return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
 def reference_tabu_run(

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cubecolor import search
+from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.files import save_coloring
 from cubecolor.fixture import q8_square_13_coloring
@@ -203,6 +206,36 @@ def test_search_config_validation():
         SearchConfig(restarts=-1)
     with pytest.raises(ValueError):
         SearchConfig(tabu_tenure_base=-1)
+
+
+def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsys):
+    # Under a 1 MiB limit first: were the checks gone, these small runs would
+    # just finish, and the test would stop here before the large cases below.
+    monkeypatch.setattr(search, "MAX_SEARCH_BYTES", 1 << 20)
+    for run, message in (
+        (lambda: tabu_search(Params(12, 2, 20), SearchConfig(max_iterations=1)),
+         "tabu search would need about 2 MiB, above the limit of 1 MiB"),
+        (lambda: greedy_color(Params(13, 2)), "greedy coloring would need about 1 MiB"),
+        (lambda: dsatur_color(Params(9, 2)), "DSATUR would need about 2 MiB"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run()
+    greedy_color(Params(12, 2))  # 640 KiB: under the limit
+    monkeypatch.undo()
+
+    # At the real limit, oversized commands exit 2 at once, naming the estimate.
+    out = str(tmp_path / "never-written.txt")
+    for args, message in (
+        (["--colors", "20"], "tabu search would need about 9216 MiB, above the limit of 1024 MiB"),
+        (["--colors", "20", "--algo", "greedy"], "greedy coloring would need about 2560 MiB"),
+    ):
+        start = time.perf_counter()
+        assert main(["search", "--n", "24", "--k", "2", *args, "--out", out]) == 2
+        assert time.perf_counter() - start < 1
+        assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match="DSATUR would need about 2002 MiB"):
+        dsatur_color(Params(17, 2))
+    assert not (tmp_path / "never-written.txt").exists()
 
 
 def test_extend_double_small():
