@@ -297,9 +297,11 @@ def test_extend_double_always_valid_on_random_bases(seed):
 
 # Golden trajectories: (conflicts, iterations_used, restarts_used, seed_used,
 # sha256 of the saved best coloring).  A kernel change that alters which
-# coloring a seed reaches, or how fast, fails here.  The first three match
-# perfbench/pins.json; the last two spend most iterations in the forced
-# fallback move (every move tabu, none aspirating): 1968 and 815 of 2000.
+# coloring a seed reaches, or how fast, fails here.  The first four match
+# perfbench/pins.json; the K = 13 lift never solves, and in about 0.8 rows
+# per iteration every minimum colour is tabu without aspirating, so the row
+# is scanned past its minimum.  The last two spend most iterations in the
+# forced fallback move (every move tabu, none aspirating): 1968 and 815 of 2000.
 GOLDEN_TRAJECTORIES = {
     "q8k14-s3000": (
         lambda: tabu_search(
@@ -315,6 +317,15 @@ GOLDEN_TRAJECTORIES = {
             config=SearchConfig(rng_seed=5, max_iterations=100_000),
         ),
         [0, 3748, 0, 5, "86ddbdb20f022c7bef7ba025452a7c1afce6302cb2fc3884f03e7ef3892e5607"],
+    ),
+    "q9f13-fixture-s0": (
+        lambda: extend_to_higher_dim(
+            q8_square_13_coloring(),
+            "freeze-subcube",
+            num_colors=13,
+            config=SearchConfig(rng_seed=0, max_iterations=750),
+        ),
+        [83, 750, 0, 0, "91346af2321cc1dd10445a8fd7a9d777f53575aac54fb2fed44dca3c91c5290c"],
     ),
     "q10k40-s0": (
         lambda: tabu_search(Params(10, 2, 40), SearchConfig(rng_seed=0, max_iterations=5_000)),
