@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .bounds import chromatic_lower_bound
 from .coloring import VerifyReport, class_stats, fingerprint_from_stats, verify_coloring
@@ -44,7 +43,13 @@ from .search import (
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _load(path: str):
@@ -103,7 +108,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     if args.algo in ("greedy", "dsatur"):
         col = (greedy_color if args.algo == "greedy" else dsatur_color)(Params(args.n, args.k))
-        Path(args.out).write_text(save_coloring(col))
+        _write_text(args.out, save_coloring(col))
         used = len(col.classes)
         print(f"algorithm: {args.algo}")
         print(f"colors used: {used}" + (" (above target)" if used > args.colors else ""))
@@ -111,7 +116,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 0 if used <= args.colors else 1
     init = None if args.init is None else assignment_from_coloring(_load(args.init))
     outcome = tabu_search(params, _search_config(args), init)
-    Path(args.out).write_text(save_coloring(outcome.best.to_coloring()))
+    _write_text(args.out, save_coloring(outcome.best.to_coloring()))
     print("algorithm: tabu")
     print(f"conflicts: {outcome.conflicts}")
     print(
@@ -126,7 +131,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     outcome = extend_to_higher_dim(
         base, args.strategy, num_colors=args.colors, config=_search_config(args)
     )
-    Path(args.out).write_text(save_coloring(outcome.best.to_coloring()))
+    _write_text(args.out, save_coloring(outcome.best.to_coloring()))
     print(f"strategy: {args.strategy}")
     print(f"colors: {outcome.best.params.num_colors}")
     print(f"conflicts: {outcome.conflicts}")
@@ -148,7 +153,7 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     true_vars = parse_solver_model(_read_text(args.model))
     col = decode_model(true_vars, params)
-    Path(args.out).write_text(save_coloring(col))
+    _write_text(args.out, save_coloring(col))
     print(f"decoded {len(col.classes)} classes")
     report = verify_coloring(col)
     print(_status(report))

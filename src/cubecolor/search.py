@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate, compress
+from operator import sub
 from typing import NamedTuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
@@ -22,8 +24,9 @@ from .hamming import Params, ball_masks, ball_size
 #: assignment_from_coloring fills the list; an Assignment never holds it.
 UNASSIGNED = 0
 
-#: Iterations between recounts of the incremental conflict tally and the
-#: conflicted-vertex list in self-check mode.
+#: Iterations between recounts, in self-check mode, of the tabu kernel's
+#: incremental state: the conflict tally, the conflicted-vertex list, and
+#: every vertex's neighbor color counts, own count and row minimum.
 SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
@@ -32,9 +35,9 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
-#: round up tracemalloc peaks per vertex: tabu 526 B at K = 20, 846 B at K = 40;
-#: greedy 110 B; DSATUR, whose heap keeps an entry per colored neighbor, 100 B
-#: per mask (n = 13..16, k = 2).
+#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 274, 560
+#: and 873 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR, whose heap keeps
+#: an entry per colored neighbor, 100 B per mask (n = 13..16, k = 2).
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -132,28 +135,16 @@ class SearchOutcome(NamedTuple):
     seed_used: int
 
 
-def _count_conflicts(color_of: list[int], masks: list[int]) -> int:
-    # Every conflicting pair is seen once from each end.
+def conflict_count(a: Assignment) -> int:
+    """Number of unordered same-color pairs at distance 1..k."""
+    color_of = a.color_of
+    masks = ball_masks(a.params.n, a.params.k)
     total = 0
     for v, cv in enumerate(color_of):
         for m in masks:
             if color_of[v ^ m] == cv:
                 total += 1
-    return total // 2
-
-
-def _conflicted_vertices(color_of: list[int], masks: list[int], frozen: frozenset[int]) -> list[int]:
-    """Non-frozen vertices with a same-colored neighbor, ascending."""
-    return [
-        v
-        for v, cv in enumerate(color_of)
-        if v not in frozen and any(color_of[v ^ m] == cv for m in masks)
-    ]
-
-
-def conflict_count(a: Assignment) -> int:
-    """Number of unordered same-color pairs at distance 1..k."""
-    return _count_conflicts(a.color_of, ball_masks(a.params.n, a.params.k))
+    return total // 2  # every conflicting pair is seen once from each end
 
 
 def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
@@ -213,6 +204,36 @@ def dsatur_color(params: Params) -> Coloring:
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
+def _check_state(
+    color_of: list[int], masks: list[int], frozen: frozenset[int], gamma: list[list[int]],
+    own: list[int], low: list[int], conflicted: list[int], conflicts: int, it: int,
+) -> None:
+    """Recount _tabu_run's incremental state from color_of; AssertionError names it."""
+    sentinel = 2 * len(color_of)
+    recount = 0
+    expected = []
+    for v, cv in enumerate(color_of):
+        row = [0] * len(gamma[v])
+        for m in masks:
+            row[color_of[v ^ m]] += 1
+        if own[v] != row[cv]:
+            raise AssertionError(f"own count of vertex {v} out of date at iteration {it}")
+        recount += own[v]
+        if own[v] and v not in frozen:
+            expected.append(v)
+        row[0] = row[cv] = sentinel
+        if gamma[v] != row:
+            raise AssertionError(f"gamma row of vertex {v} out of date at iteration {it}")
+        if own[v] and low[v] != min(row):
+            raise AssertionError(f"row minimum of vertex {v} out of date at iteration {it}")
+    if recount // 2 != conflicts:
+        raise AssertionError(
+            f"incremental conflict tally {conflicts} != recount {recount // 2} at iteration {it}"
+        )
+    if expected != conflicted:
+        raise AssertionError(f"conflicted-vertex list out of date at iteration {it}")
+
+
 def _tabu_run(
     color_of: list[int],
     num_colors: int,
@@ -228,34 +249,50 @@ def _tabu_run(
     admitted only if it would beat the best conflict count ever seen
     (aspiration).  Ties are broken uniformly at random from rng, which is the
     run's only source of randomness besides the initial assignment.  If every
-    move is tabu and none aspirates, a second pass over the same state takes
-    the best move ignoring tabu, so the search always progresses.
+    move is tabu and none aspirates, the best move ignoring tabu is taken, so
+    the search always progresses.
 
     The neighbors of v are v ^ m for m in masks (hamming.ball_masks), XORed
-    afresh wherever they are needed; no per-vertex list is built.  They come
-    in mask order, not ascending, which no result depends on: each neighbor's
-    updates touch only its own row and its own place in conflicted.
-    gamma[v][c] counts v's neighbors of color c.  conflicted holds, in
-    ascending order, exactly the non-frozen v with gamma[v][color_of[v]] > 0;
-    each move updates it for the moved vertex and its neighbors, the only
-    rows that change.  Slot 0 (no vertex has color 0) and, while v is
-    scanned, slot color_of[v] hold a sentinel above every count, so
-    min(gamma[v]) - own is v's best delta.  A vertex whose best delta
-    exceeds the pass's best so far is skipped: the best only falls and tabu
-    only removes moves, so it could add no tie.  Because conflicted is
-    ascending, the tie list, in (vertex, color) order, equals that of a scan
-    of every pair.
+    afresh wherever they are needed; no per-vertex list is built.  A move
+    changes only the rows of the moved vertex and its neighbors.  The state:
+
+    - gamma[v][c] counts v's neighbors of color c, except that slot 0 (no
+      vertex has color 0) and the own slot color_of[v] always hold a sentinel
+      above every count.  own[v] holds the own count instead, so
+      gamma[v][c] - own[v] is the delta of moving v to c, and the own slot is
+      rewritten only when v itself moves.
+    - low[v] = min(gamma[v]) is valid while own[v] > 0: a decrement lowers it,
+      an increment of the minimum slot recomputes it, and it is set afresh
+      when own[v] rises from 0 and when v moves.
+    - conflicted holds, ascending, exactly the non-frozen v with own[v] > 0.
+
+    key = low[v] - own[v] is v's best delta, so the best move has the least
+    key, top.  If top aspirates, or every move is tabu, the candidates are
+    all minimum colors of the vertices keyed top.  Otherwise they are the
+    non-tabu minimum colors of those vertices; if all of them are tabu, the
+    rows are visited in key order while the key is at most the best delta so
+    far (later rows cannot reach it) and scanned in full.
+
+    Ties are counted, not listed: rng.choice(range(total)) draws the same
+    index as rng.choice over a list of total ties and leaves rng in the same
+    state.  The index is mapped back over the candidates in ascending
+    (vertex, color) order, the order a scan of every pair would list them in,
+    so the move drawn is the same.
     """
     size = len(color_of)
-    sentinel = 2 * size  # a masked slot's delta stays above best_delta <= size
+    sentinel = 2 * size  # a masked slot's delta stays above every real delta (< size)
     gamma = [[0] * (num_colors + 1) for _ in range(size)]
-    for v in range(size):
+    own = [0] * size
+    low = [sentinel] * size
+    for v, cv in enumerate(color_of):
         gv = gamma[v]
         for m in masks:
             gv[color_of[v ^ m]] += 1
-        gv[0] = sentinel
-    conflicts = sum(gamma[v][color_of[v]] for v in range(size)) // 2
-    conflicted = _conflicted_vertices(color_of, masks, frozen)
+        own[v] = gv[cv]
+        gv[0] = gv[cv] = sentinel
+        low[v] = min(gv)
+    conflicts = sum(own) // 2
+    conflicted = [v for v in range(size) if own[v] and v not in frozen]
 
     best_conflicts = conflicts
     best_colors = list(color_of)
@@ -265,33 +302,66 @@ def _tabu_run(
     it = 0
     while it < config.max_iterations and conflicts > 0:
         it += 1
-        for strict in (True, False):
-            best_delta = size  # above every real delta
-            ties: list[tuple[int, int]] = []
-            for v in conflicted:
-                gv = gamma[v]
-                cv = color_of[v]
-                own = gv[cv]
-                gv[cv] = sentinel
-                if min(gv) - own <= best_delta:
-                    tv = tabu_until[v]
-                    for c, g in enumerate(gv):
-                        delta = g - own
-                        if delta > best_delta or (
-                            strict and tv[c] >= it and conflicts + delta >= best_conflicts
-                        ):
-                            continue
-                        if delta < best_delta:
-                            best_delta = delta
-                            ties = [(v, c)]
-                        else:
-                            ties.append((v, c))
-                gv[cv] = own
-            if ties:
-                break
-        if not ties:
+        keys = list(map(sub, map(low.__getitem__, conflicted), map(own.__getitem__, conflicted)))
+        top = min(keys, default=size)
+        if top >= size:
             break  # no movable vertex at all (e.g. K = 1 or everything frozen)
-        v, c = ties[0] if len(ties) == 1 else rng.choice(ties)
+        tops = list(compress(conflicted, map(top.__eq__, keys)))
+        any_color = top < best_conflicts - conflicts  # aspiration
+        if not any_color:
+            tie_vs, tie_ns = [], []
+            for v in tops:
+                gv, lo, tv = gamma[v], low[v], tabu_until[v]
+                c = gv.index(lo)
+                n = tv[c] < it
+                for _ in range(gv.count(lo) - 1):
+                    c = gv.index(lo, c + 1)
+                    n += tv[c] < it
+                if n:
+                    tie_vs.append(v)
+                    tie_ns.append(n)
+            best = top
+            if not tie_vs:
+                best = size
+                for key, v in sorted(zip(keys, conflicted)):
+                    if key > best:
+                        break
+                    gv, o, tv = gamma[v], own[v], tabu_until[v]
+                    d, n = best, 0
+                    for c, g in enumerate(gv):
+                        delta = g - o
+                        if delta > d or tv[c] >= it:
+                            continue
+                        if delta < d:
+                            d, n = delta, 1
+                        else:
+                            n += 1
+                    if n:
+                        if d < best:
+                            best, tie_vs, tie_ns = d, [v], [n]
+                        else:
+                            tie_vs.append(v)
+                            tie_ns.append(n)
+                if len(tie_vs) > 1:
+                    tie_vs, tie_ns = zip(*sorted(zip(tie_vs, tie_ns)))
+                any_color = not tie_vs  # forced fallback
+        if any_color:
+            best = top
+            tie_vs = tops
+            tie_ns = list(map(list.count, map(gamma.__getitem__, tops), map(low.__getitem__, tops)))
+        ends = list(accumulate(tie_ns))
+        r = 0 if ends[-1] == 1 else rng.choice(range(ends[-1]))
+        i = bisect_right(ends, r)
+        v = tie_vs[i]
+        if i:
+            r -= ends[i - 1]
+        gv, tv = gamma[v], tabu_until[v]
+        target = best + own[v]
+        for c, g in enumerate(gv):
+            if g == target and (any_color or tv[c] < it):
+                if not r:
+                    break
+                r -= 1
 
         old = color_of[v]
         tabu_until[v][old] = it + int(base + slope * conflicts)
@@ -299,29 +369,50 @@ def _tabu_run(
         for m in masks:
             u = v ^ m
             gu = gamma[u]
-            gu[old] -= 1
-            gu[c] += 1
             cu = color_of[u]
-            if cu == old and gu[old] == 0 and u not in frozen:
-                del conflicted[bisect_left(conflicted, u)]
-            elif cu == c and gu[c] == 1 and u not in frozen:
-                insort(conflicted, u)
-        if gamma[v][c] == 0:
+            if cu == old:
+                o = own[u] = own[u] - 1
+                g = gu[c]
+                gu[c] = g + 1
+                if not o:
+                    if u not in frozen:
+                        del conflicted[bisect_left(conflicted, u)]
+                elif g == low[u]:
+                    low[u] = min(gu)
+            elif cu == c:
+                g = gu[old] = gu[old] - 1
+                o = own[u] = own[u] + 1
+                if o == 1:
+                    low[u] = min(gu)
+                    if u not in frozen:
+                        insort(conflicted, u)
+                elif g < low[u]:
+                    low[u] = g
+            else:
+                g = gu[old] = gu[old] - 1
+                h = gu[c]
+                gu[c] = h + 1
+                if own[u]:
+                    lo = low[u]
+                    if g < lo:
+                        low[u] = g
+                    elif h == lo:
+                        low[u] = min(gu)
+        gv[old] = own[v]
+        own[v] = o = gv[c]
+        gv[c] = sentinel
+        if o:
+            low[v] = min(gv)
+        else:
             del conflicted[bisect_left(conflicted, v)]
-        conflicts += best_delta
+        conflicts += best
 
         if conflicts < best_conflicts:
             best_conflicts = conflicts
             best_colors = list(color_of)
 
         if config.self_check and it % SELF_CHECK_PERIOD == 0:
-            recount = _count_conflicts(color_of, masks)
-            if recount != conflicts:
-                raise AssertionError(
-                    f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
-                )
-            if _conflicted_vertices(color_of, masks, frozen) != conflicted:
-                raise AssertionError(f"conflicted-vertex list out of date at iteration {it}")
+            _check_state(color_of, masks, frozen, gamma, own, low, conflicted, conflicts, it)
     return best_colors, best_conflicts, it
 
 

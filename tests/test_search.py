@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,65 @@ def test_tabu_self_check_mode_runs_clean():
     assert out.iterations_used == 25_000
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: tabu_search(Params(5, 2, 5), SearchConfig(rng_seed=3, max_iterations=400, self_check=True)),
+        lambda: tabu_search(
+            Params(4, 2, 3),
+            SearchConfig(rng_seed=1, max_iterations=400, tabu_tenure_base=1000, self_check=True),
+        ),
+        lambda: extend_to_higher_dim(
+            Q3_COLORING, "freeze-subcube", 5,
+            SearchConfig(rng_seed=5, max_iterations=400, self_check=True),
+        ),
+    ],
+    ids=["q5k5", "q4k3-fallback", "freeze-q4"],
+)
+def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
+    # Recounting after every move checks the conflict tally, the conflicted
+    # list and each vertex's gamma row, own count and row minimum; a stale
+    # entry raises AssertionError naming the iteration.
+    monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 1)
+    assert run().iterations_used > 0
+
+
+@pytest.mark.parametrize(
+    "what,run",
+    [
+        ("tabu search", lambda: tabu_search(Params(10, 2, 2), SearchConfig(max_iterations=1))),
+        ("tabu search", lambda: tabu_search(Params(10, 2, 40), SearchConfig(max_iterations=1))),
+        ("greedy coloring", lambda: greedy_color(Params(10, 2))),
+        ("DSATUR", lambda: dsatur_color(Params(10, 2))),
+    ],
+    ids=["tabu-k2", "tabu-k40", "greedy", "dsatur"],
+)
+def test_memory_estimate_bounds_the_measured_peak(monkeypatch, what, run):
+    # Under a limit one byte below the peak tracemalloc measured, the size
+    # check must refuse the run: its estimate covers all the state it builds.
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(search, "MAX_SEARCH_BYTES", peak - 1)
+    with pytest.raises(ValueError, match=f"^{what} would need"):
+        run()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 10**9 + 7])
+def test_counted_tie_draw_is_the_list_draw(seed):
+    # The tabu kernel counts its ties and draws from range(total); that must
+    # pick the index rng.choice picks from a list of the ties, and leave rng
+    # in the same state.
+    for length in range(2, 65):
+        ties = [(v, v % 7) for v in range(length)]
+        counted, listed = random.Random(seed), random.Random(seed)
+        assert ties[counted.choice(range(length))] == listed.choice(ties)
+        assert counted.getstate() == listed.getstate()
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=0)
@@ -298,10 +358,11 @@ def test_extend_double_always_valid_on_random_bases(seed):
 # Golden trajectories: (conflicts, iterations_used, restarts_used, seed_used,
 # sha256 of the saved best coloring).  A kernel change that alters which
 # coloring a seed reaches, or how fast, fails here.  The first four match
-# perfbench/pins.json; the K = 13 lift never solves, and in about 0.8 rows
-# per iteration every minimum colour is tabu without aspirating, so the row
-# is scanned past its minimum.  The last two spend most iterations in the
-# forced fallback move (every move tabu, none aspirating): 1968 and 815 of 2000.
+# perfbench/pins.json.  The K = 13 lift never solves; in 23 of its 750
+# iterations every minimum color of the rows of least key is tabu and none
+# aspirates, so rows are scanned in full.  The last two spend most iterations
+# in the forced fallback move (every move tabu, none aspirating): 1968 and 815
+# of 2000.
 GOLDEN_TRAJECTORIES = {
     "q8k14-s3000": (
         lambda: tabu_search(

@@ -26,9 +26,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S: no site hook may preload these modules and hide an import of them.
+    # pathlib alone pulls in urllib.parse and ipaddress; the CLI uses open().
     code = (
         "import cubecolor.cli, sys;"
-        " print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))"
+        " print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'pathlib')"
+        " if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
