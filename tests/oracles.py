@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from cubecolor.bounds import STATUS_EXACT, STATUS_TIMEOUT, CodeSizeResult
 from cubecolor.coloring import Coloring
 from cubecolor.hamming import Params, ball_masks
 from cubecolor.search import SELF_CHECK_PERIOD, UNASSIGNED, Assignment, SearchConfig
@@ -105,6 +106,47 @@ def read_dimacs(text: str) -> tuple[list[str], int, int, list[tuple[int, ...]]]:
             assert end == 0, line
             clauses.append(tuple(literals))
     return comments, num_vars, num_clauses, clauses
+
+
+def reference_branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
+    """The exact code-size search as first written: popcount pruning only.
+
+    Kept verbatim as the reference for bounds._branch_and_bound; any value it
+    returns with STATUS_EXACT is A(n, d).  Candidates are branched in ascending
+    integer order.  Word 0 is fixed in the code: translating any code by one
+    of its own words preserves all distances, so some maximum code contains 0
+    and the remaining candidates are exactly the words of weight >= d.  A node
+    is one include/exclude decision; exceeding the budget returns the best
+    size found so far.
+    """
+    masks = ball_masks(n, d - 1)
+    adj = [sum(1 << (v ^ m) for m in masks) for v in range(1 << n)]
+    pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
+
+    best = 1
+    nodes = 0
+    aborted = False
+
+    def grow(chosen: int, pool: int) -> None:
+        nonlocal best, nodes, aborted
+        if chosen > best:
+            best = chosen
+        while pool:
+            nodes += 1
+            if nodes > budget:
+                aborted = True
+                return
+            if chosen + pool.bit_count() <= best:
+                return
+            lsb = pool & -pool
+            v = lsb.bit_length() - 1
+            grow(chosen + 1, pool & ~adj[v] & ~lsb)
+            if aborted:
+                return
+            pool ^= lsb
+
+    grow(1, pool0)
+    return CodeSizeResult(best, STATUS_TIMEOUT if aborted else STATUS_EXACT)
 
 
 def reference_dsatur(params: Params) -> Coloring:
