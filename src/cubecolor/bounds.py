@@ -20,7 +20,7 @@ from .hamming import Params, ball_masks
 # Exact search is desk-scale only; beyond this the conflict graph and the
 # search tree stop being laptop material.
 MAX_EXACT_DIMENSION = 12
-DEFAULT_NODE_BUDGET = 10**8
+DEFAULT_NODE_BUDGET = 10**7
 
 STATUS_EXACT = "exact"
 STATUS_TIMEOUT = "timeout-lower-bound"
@@ -79,17 +79,38 @@ class CodeSizeResult(NamedTuple):
     status: str  # STATUS_EXACT or STATUS_TIMEOUT
 
 
+def _conflict_adjacency(n: int, d: int) -> list[int]:
+    """adj[v]: bit u set iff 0 < d(u, v) < d, for every word v of length n.
+
+    adj[0] is the ball of radius d-1 without 0.  Translating by bit j swaps
+    every block of 2^j index bits with its neighbour, so the rows with bit j
+    set follow from the rows without it in four big-int operations each.
+    """
+    full = (1 << (1 << n)) - 1
+    adj = [sum(1 << m for m in ball_masks(n, d - 1))]
+    for j in range(n):
+        s = 1 << j
+        lo = ((1 << s) - 1) * (full // ((1 << 2 * s) - 1))  # index bit j clear
+        hi = lo << s
+        adj += [((a & lo) << s) | ((a & hi) >> s) for a in adj]
+    return adj
+
+
 def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     """Maximum independent set search, no closed-form shortcuts.
 
-    Candidates are branched in ascending integer order.  Word 0 is fixed in
-    the code: translating any code by one of its own words preserves all
-    distances, so some maximum code contains 0 and the remaining candidates
-    are exactly the words of weight >= d.  A node is one include/exclude
-    decision; exceeding the budget returns the best size found so far.
+    Word 0 is fixed in the code: translating any code by one of its own words
+    preserves all distances, so some maximum code contains 0 and the
+    remaining candidates are exactly the words of weight >= d.  Each node
+    covers its candidate pool greedily with cliques of the conflict graph
+    (Tomita & Seki 2003): a code holds at most one word of a clique, so a
+    word labelled l in cover order sits among candidates that hold at most l
+    more code words.  Candidates are branched in reverse cover order, and a
+    node is pruned once chosen + label <= best.  A node is one
+    include/exclude decision; exceeding the budget returns the best size
+    found so far.
     """
-    masks = ball_masks(n, d - 1)
-    adj = [sum(1 << (v ^ m) for m in masks) for v in range(1 << n)]
+    adj = _conflict_adjacency(n, d)
     pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
 
     best = 1
@@ -100,19 +121,32 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
         nonlocal best, nodes, aborted
         if chosen > best:
             best = chosen
-        while pool:
+        labels: list[int] = []
+        words: list[int] = []
+        label = 0
+        rem = pool
+        while rem:
+            label += 1
+            clique = rem
+            while clique:
+                low = clique & -clique
+                v = low.bit_length() - 1
+                rem ^= low
+                clique &= adj[v]
+                labels.append(label)
+                words.append(v)
+        for i in range(len(words) - 1, -1, -1):
             nodes += 1
             if nodes > budget:
                 aborted = True
                 return
-            if chosen + pool.bit_count() <= best:
+            if chosen + labels[i] <= best:
                 return
-            lsb = pool & -pool
-            v = lsb.bit_length() - 1
-            grow(chosen + 1, pool & ~adj[v] & ~lsb)
+            v = words[i]
+            pool ^= 1 << v
+            grow(chosen + 1, pool & ~adj[v])
             if aborted:
                 return
-            pool ^= lsb
 
     grow(1, pool0)
     return CodeSizeResult(best, STATUS_TIMEOUT if aborted else STATUS_EXACT)

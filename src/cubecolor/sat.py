@@ -9,7 +9,8 @@ last) so generated files are byte-identical across runs.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import add, itemgetter, neg
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
@@ -41,21 +42,40 @@ class CnfFormula(Frozen):
     def __init__(
         self, num_vars: int, clauses: tuple[tuple[int, ...], ...], comments: tuple[str, ...] = ()
     ) -> None:
-        clauses = tuple(tuple(cl) for cl in clauses)
+        clauses = tuple(map(tuple, clauses))
         comments = tuple(comments)
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        for cl in clauses:
-            if not cl:
-                raise ValueError("empty clause")
-            seen = set()
-            for lit in cl:
-                if lit == 0 or abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} out of range for {num_vars} variables")
-                if -lit in seen:
-                    raise ValueError(f"clause {cl} contains both {lit} and {-lit}")
-                seen.add(lit)
+        if _has_faulty_clause(num_vars, clauses):
+            for cl in clauses:  # name the first offender
+                if not cl:
+                    raise ValueError("empty clause")
+                seen = set()
+                for lit in cl:
+                    if lit == 0 or abs(lit) > num_vars:
+                        raise ValueError(f"literal {lit} out of range for {num_vars} variables")
+                    if -lit in seen:
+                        raise ValueError(f"clause {cl} contains both {lit} and {-lit}")
+                    seen.add(lit)
         self._init(num_vars=num_vars, clauses=clauses, comments=comments)
+
+
+def _has_faulty_clause(num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether a clause is empty, holds 0 or a literal beyond num_vars, or holds x and -x.
+
+    Whole-formula passes, no per-literal Python loop.  With 0 ruled out, a
+    clause of at most two literals holds a complementary pair exactly when
+    its first and last literals sum to 0; longer clauses get a set test each.
+    """
+    if not all(clauses):
+        return True
+    literals = set(chain.from_iterable(clauses))
+    if 0 in literals or min(literals, default=0) < -num_vars or max(literals, default=0) > num_vars:
+        return True
+    if 0 in map(add, map(itemgetter(0), clauses), map(itemgetter(-1), clauses)):
+        return True
+    longer = [cl for cl in clauses if len(cl) > 2]
+    return not all(map(set.isdisjoint, map(set, longer), map(map, repeat(neg), longer)))
 
 
 class EncodeOptions(Frozen):

@@ -15,11 +15,13 @@ from cubecolor.bounds import (
     TableEntry,
     UnknownCodeSizeError,
     _branch_and_bound,
+    _conflict_adjacency,
     chromatic_lower_bound,
     default_table,
     exact_max_code_size,
     packing_lower_bound,
 )
+from cubecolor.hamming import ball_masks
 
 
 def test_table_parsing():
@@ -57,7 +59,7 @@ def test_default_table_agrees_with_exact_search_where_cheap():
     # Guards the shipped numbers on every n where the exact search is fast.
     table = default_table()
     for (n, d), entry in table.entries.items():
-        if n <= 7:
+        if n <= 7 or (n, d) == (8, 4):
             assert exact_max_code_size(n, d).value == entry.value, (n, d)
 
 
@@ -92,6 +94,31 @@ def test_search_matches_reference_branch_and_bound(n, d):
     expected = oracles.reference_branch_and_bound(n, d, 10**8)
     assert expected.status == STATUS_EXACT
     assert _branch_and_bound(n, d, DEFAULT_NODE_BUDGET) == expected
+
+
+@pytest.mark.parametrize("n,d,value,nodes", [(7, 3, 16, 6525), (8, 4, 16, 6591), (10, 6, 6, 13908)])
+def test_search_node_counts_are_pinned(n, d, value, nodes):
+    # The clique-cover bound settles these in the pinned number of nodes (the
+    # popcount bound needed 2,681,793, 3,438,610 and 286,487).  A weaker
+    # prune or another branching order changes the count.
+    assert _branch_and_bound(n, d, nodes) == (value, STATUS_EXACT)
+    assert _branch_and_bound(n, d, nodes - 1).status == STATUS_TIMEOUT
+
+
+def test_raw_search_settles_even_weight_codes():
+    # A(n,2) = 2^(n-1) is answered in closed form; the raw search must reach
+    # it too.  The clique cover pairs words across the edges of Q_n, so even
+    # A(8,2) = 128 takes a few hundred nodes.
+    for n in range(1, 9):
+        assert _branch_and_bound(n, 2, 10**4) == (1 << (n - 1), STATUS_EXACT), n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_conflict_adjacency_matches_ball_translates(n):
+    for d in range(1, n + 2):
+        masks = ball_masks(n, d - 1)
+        naive = [sum(1 << (v ^ m) for m in masks) for v in range(1 << n)]
+        assert _conflict_adjacency(n, d) == naive, d
 
 
 def test_known_hard_values():
@@ -181,7 +208,8 @@ def test_chromatic_lower_bound_names_the_search_range():
 
 def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
     # n = 10 is inside the exact-search range; running out of nodes there is
-    # a budget matter, not a range matter.  The real search takes ~100 s.
+    # a budget matter, not a range matter.  The real search of A(10,3)
+    # exhausts its 10**7 nodes after about 90 s.
     monkeypatch.setattr(
         bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)
     )

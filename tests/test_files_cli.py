@@ -155,11 +155,19 @@ def test_cli_bound(capsys):
 
 
 def test_cli_bound_n10_answers_from_the_table(capsys):
-    # A(10,3) = 72 is cited, so no exact search runs (it would take ~100 s).
+    # A(10,3) = 72 is cited, so no exact search runs (it would exhaust its
+    # node budget after about 90 s).
     assert main(["bound", "--n", "10", "--k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "15"  # ceil(1024/72)
     assert lines[1].startswith("source: known-table, A(10,3) = 72 [Östergård, Baicheva, Kolev")
+
+
+def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
+    # A(10,6) is not cited; the clique-cover search settles it in 13,908 nodes.
+    assert main(["bound", "--n", "10", "--k", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["171", "source: exact-computation, A(10,6) = 6"]  # ceil(1024/6)
 
 
 def test_cli_bound_unknown_is_operational_error(capsys):

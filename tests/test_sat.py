@@ -48,6 +48,28 @@ def test_formula_validation():
         CnfFormula(2, ((1, -1),))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((), "empty clause"),
+        ((5, 0, -6), "literal 0 out of range for 90000 variables"),
+        ((8, 0), "literal 0 out of range for 90000 variables"),
+        ((-90001,), "literal -90001 out of range for 90000 variables"),
+        ((-7, 7), r"clause \(-7, 7\) contains both 7 and -7"),
+        ((1, 2, 3, -2), r"clause \(1, 2, 3, -2\) contains both -2 and 2"),
+    ],
+)
+def test_formula_validation_names_the_first_offender_deep_in_a_long_list(bad, message):
+    # The faults are found in bulk; the message must still name the first
+    # offending clause, as a clause-by-clause walk would.
+    good = [(-v, -v - 1) for v in range(1, 30000)] + [tuple(range(1, 14))]
+    clauses = good[:20000] + [bad] + good[20000:]
+    for tail in ([], [(90001,)]):  # alone, and before a later fault
+        with pytest.raises(ValueError, match=message):
+            CnfFormula(90000, clauses + tail)
+    CnfFormula(90000, good)
+
+
 def test_encode_options_validation():
     with pytest.raises(ValueError):
         EncodeOptions(symmetry="mirror")
