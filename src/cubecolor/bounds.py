@@ -20,7 +20,7 @@ from .hamming import Params, ball_masks
 # Exact search is desk-scale only; beyond this the conflict graph and the
 # search tree stop being laptop material.
 MAX_EXACT_DIMENSION = 12
-DEFAULT_NODE_BUDGET = 10**7
+DEFAULT_NODE_BUDGET = 3 * 10**6
 
 STATUS_EXACT = "exact"
 STATUS_TIMEOUT = "timeout-lower-bound"
@@ -103,12 +103,12 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     preserves all distances, so some maximum code contains 0 and the
     remaining candidates are exactly the words of weight >= d.  Each node
     covers its candidate pool greedily with cliques of the conflict graph
-    (Tomita & Seki 2003): a code holds at most one word of a clique, so a
-    word labelled l in cover order sits among candidates that hold at most l
-    more code words.  Candidates are branched in reverse cover order, and a
-    node is pruned once chosen + label <= best.  A node is one
-    include/exclude decision; exceeding the budget returns the best size
-    found so far.
+    and labels every word with its clique's index (Tomita & Seki 2003).  A
+    code holds at most one word of a clique, so the word labelled l and the
+    words covered before it add at most l code words.  Candidates are
+    branched in reverse cover order, and a node is pruned once
+    chosen + label <= best.  A node is one include/exclude decision;
+    exceeding the budget returns the best size found so far.
     """
     adj = _conflict_adjacency(n, d)
     pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball

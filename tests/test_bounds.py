@@ -82,8 +82,8 @@ def test_closed_forms_match_raw_branch_and_bound(n):
 
 
 # The reference settles each of these within the 10**8 nodes it was written
-# for, in at most 1.5 s.  It does not settle A(7,2): the popcount bound runs
-# out of nodes there, so that pair is left to the closed form.
+# for.  It does not settle A(7,2): the popcount bound runs out of nodes
+# there, so that pair is left to test_raw_search_settles_even_weight_codes.
 REFERENCE_CASES = [
     (n, d) for n in range(1, 8) for d in range(1, n + 2) if (n, d) != (7, 2)
 ] + [(8, 4), (9, 5), (10, 6)]
@@ -209,7 +209,7 @@ def test_chromatic_lower_bound_names_the_search_range():
 def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
     # n = 10 is inside the exact-search range; running out of nodes there is
     # a budget matter, not a range matter.  The real search of A(10,3)
-    # exhausts its 10**7 nodes after about 90 s.
+    # exhausts its 3 * 10**6 nodes after about 33 s.
     monkeypatch.setattr(
         bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)
     )

@@ -156,7 +156,7 @@ def test_cli_bound(capsys):
 
 def test_cli_bound_n10_answers_from_the_table(capsys):
     # A(10,3) = 72 is cited, so no exact search runs (it would exhaust its
-    # node budget after about 90 s).
+    # node budget after about 33 s).
     assert main(["bound", "--n", "10", "--k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "15"  # ceil(1024/72)
