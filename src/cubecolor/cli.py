@@ -24,9 +24,9 @@ from .sat import (
     SYMMETRIES,
     SYMMETRY_NONE,
     EncodeOptions,
+    coloring_cnf_stream,
     decode_model,
     dimacs_lines,
-    encode_coloring_cnf,
     parse_solver_model,
 )
 from .search import (
@@ -141,11 +141,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
-    formula = encode_coloring_cnf(params, options)
+    comments, num_vars, num_clauses, clauses = coloring_cnf_stream(params, options)
     with open(args.out, "w") as fh:
-        fh.writelines(dimacs_lines(formula))
-    print(f"variables: {formula.num_vars}")
-    print(f"clauses: {len(formula.clauses)}")
+        fh.writelines(dimacs_lines(comments, num_vars, num_clauses, clauses))
+    print(f"variables: {num_vars}")
+    print(f"clauses: {num_clauses}")
     return 0
 
 

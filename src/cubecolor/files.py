@@ -65,10 +65,12 @@ def load_coloring(text: str) -> Coloring:
     num_classes = _header_int(lines, 2, "classes", 1, 1 << n)
 
     class_lines = lines[3:]
-    if len(class_lines) != num_classes:
-        raise ColoringParseError(
-            f"expected {num_classes} class lines, found {len(class_lines)}"
-        )
+    found = len(class_lines)
+    if found != num_classes:
+        where = "unexpected end of file"
+        if found > num_classes:  # name the first surplus line
+            where = f"line {class_lines[num_classes][0]}"
+        raise ColoringParseError(f"{where}: expected {num_classes} class lines, found {found}")
     classes: list[list[int]] = []
     for lineno, line in class_lines:
         keyword, *tokens = line.split()

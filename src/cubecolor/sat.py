@@ -1,16 +1,20 @@
 """CNF encoding of "Q_n^k is K-colorable" plus DIMACS and model plumbing.
 
 Variable var(v, c) = v*K + c is "vertex v has color c" for v in [0, 2^n) and
-c in 1..K.  Clause emission order is fixed (at-least-one by vertex, conflict
-clauses by (pair, color), optional at-most-one by vertex, symmetry units
-last) so generated files are byte-identical across runs.
+c in 1..K.  One generator, _clauses, fixes the clause order (at-least-one by
+vertex, conflict clauses by (pair, color), optional at-most-one by vertex,
+symmetry units last), so generated files are byte-identical across runs.
+encode_coloring_cnf collects its clauses into a CnfFormula; the CLI's encode
+writes each clause as it is generated, so its memory stays flat.  The clauses
+are valid by construction (non-empty, literals in +-1..num_vars, never x with
+-x) for every input, so the encoder does not re-check them; the tests check
+them against an oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import chain, combinations, repeat
-from operator import add, itemgetter, neg
+from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
@@ -22,13 +26,14 @@ SYMMETRY_FIX_VERTEX_0 = "fix-vertex-0"
 SYMMETRY_FIX_CLIQUE = "fix-clique"
 SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 
-#: Largest formula encode_coloring_cnf builds, as a bound on both its clause
-#: count and its variable count.  The clauses are held as tuples and the CLI
-#: writes them out line by line, about 155 bytes per clause at peak (5.9M
-#: clauses for (12,2,37) took 886 MiB, 2.0M for (11,2,30) took 314 MiB).  The
-#: at-least-one clauses hold every variable once, about 42 bytes each (4.2M
-#: variables in 2048 clauses for (11,0,2048) took 176 MiB).  Either bound
-#: keeps an encode under 1 GiB.
+#: Largest formula encode_coloring_cnf builds and the CLI's encode writes, as a
+#: bound on both its clause count and its variable count.  The library holds
+#: the clauses as tuples, about 146 bytes per clause (2.0M clauses for
+#: (11,2,30) took 297 MiB) and 40 bytes per variable (4.2M variables in 2048
+#: clauses for (11,0,2048) took 175 MiB), so either bound keeps a formula under
+#: 1 GiB.  The CLI streams the clauses in about 15 MiB whatever their number;
+#: there the bound caps output size and run time (5.9M clauses for (12,2,37)
+#: are 99 MB of DIMACS, written in 8 s under CPython 3.11).
 MAX_CLAUSES = 6_000_000
 
 
@@ -37,45 +42,16 @@ class ModelDecodeError(ValueError):
 
 
 class CnfFormula(Frozen):
+    """A CNF formula, held as tuples; it checks nothing about its clauses."""
+
     __slots__ = ("num_vars", "clauses", "comments")
 
     def __init__(
-        self, num_vars: int, clauses: tuple[tuple[int, ...], ...], comments: tuple[str, ...] = ()
+        self, num_vars: int, clauses: Iterable[Iterable[int]], comments: Iterable[str] = ()
     ) -> None:
-        clauses = tuple(map(tuple, clauses))
-        comments = tuple(comments)
-        if num_vars < 0:
-            raise ValueError("num_vars must be nonnegative")
-        if _has_faulty_clause(num_vars, clauses):
-            for cl in clauses:  # name the first offender
-                if not cl:
-                    raise ValueError("empty clause")
-                seen = set()
-                for lit in cl:
-                    if lit == 0 or abs(lit) > num_vars:
-                        raise ValueError(f"literal {lit} out of range for {num_vars} variables")
-                    if -lit in seen:
-                        raise ValueError(f"clause {cl} contains both {lit} and {-lit}")
-                    seen.add(lit)
-        self._init(num_vars=num_vars, clauses=clauses, comments=comments)
-
-
-def _has_faulty_clause(num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether a clause is empty, holds 0 or a literal beyond num_vars, or holds x and -x.
-
-    Whole-formula passes, no per-literal Python loop.  With 0 ruled out, a
-    clause of at most two literals holds a complementary pair exactly when
-    its first and last literals sum to 0; longer clauses get a set test each.
-    """
-    if not all(clauses):
-        return True
-    literals = set(chain.from_iterable(clauses))
-    if 0 in literals or min(literals, default=0) < -num_vars or max(literals, default=0) > num_vars:
-        return True
-    if 0 in map(add, map(itemgetter(0), clauses), map(itemgetter(-1), clauses)):
-        return True
-    longer = [cl for cl in clauses if len(cl) > 2]
-    return not all(map(set.isdisjoint, map(set, longer), map(map, repeat(neg), longer)))
+        self._init(
+            num_vars=num_vars, clauses=tuple(map(tuple, clauses)), comments=tuple(comments)
+        )
 
 
 class EncodeOptions(Frozen):
@@ -102,6 +78,19 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     pins the radius-floor(k/2) ball around vertex 0, which is a clique of
     Q_n^k, to colors 1, 2, ...
     """
+    comments, num_vars, _, clauses = coloring_cnf_stream(params, options)
+    return CnfFormula(num_vars, clauses, comments)
+
+
+def coloring_cnf_stream(
+    params: Params, options: EncodeOptions | None = None
+) -> tuple[tuple[str, ...], int, int, Iterator[tuple[int, ...]]]:
+    """(comments, num_vars, num_clauses, clauses) of encode_coloring_cnf's
+    formula, with the clauses a generator that holds one clause at a time.
+
+    Every check on params and options runs here, before the first clause is
+    generated, so a writer of the stream never leaves a partial file behind.
+    """
     options = options or EncodeOptions()
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
@@ -112,34 +101,9 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
             raise ValueError(
                 f"encoding would build {amount} {what}, above the limit of {MAX_CLAUSES}"
             )
-
-    clauses: list[tuple[int, ...]] = []
-    for v in range(size):
-        clauses.append(tuple(var_index(v, c, num_colors) for c in range(1, num_colors + 1)))
-
-    masks = ball_masks(n, k)
-    for u in range(size):
-        for v in sorted(u ^ m for m in masks):
-            if v < u:
-                continue
-            for c in range(1, num_colors + 1):
-                clauses.append((-var_index(u, c, num_colors), -var_index(v, c, num_colors)))
-
-    if options.at_most_one:
-        for v in range(size):
-            for c1, c2 in combinations(range(1, num_colors + 1), 2):
-                clauses.append((-var_index(v, c1, num_colors), -var_index(v, c2, num_colors)))
-
-    if options.symmetry == SYMMETRY_FIX_VERTEX_0:
-        clauses.append((var_index(0, 1, num_colors),))
-    elif options.symmetry == SYMMETRY_FIX_CLIQUE:
-        clique = [0, *ball_masks(n, k // 2)]  # pairwise distances <= 2*(k//2) <= k
-        if num_colors < len(clique):
-            raise ValueError(
-                f"fix-clique needs at least {len(clique)} colors, got {num_colors}"
-            )
-        for c, w in enumerate(clique, start=1):
-            clauses.append((var_index(w, c, num_colors),))
+    clique_size = ball_size(n, k // 2)
+    if options.symmetry == SYMMETRY_FIX_CLIQUE and num_colors < clique_size:
+        raise ValueError(f"fix-clique needs at least {clique_size} colors, got {num_colors}")
 
     comments = (
         f"power-{k} coloring of the {n}-cube with {num_colors} colors",
@@ -147,11 +111,40 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
         f" symmetry={options.symmetry}",
         f"var(v,c) = v*{num_colors} + c, v in 0..{size - 1}, c in 1..{num_colors}",
     )
-    return CnfFormula(num_vars=num_vars, clauses=tuple(clauses), comments=comments)
+    return comments, num_vars, count, _clauses(params, options)
+
+
+def _clauses(params: Params, options: EncodeOptions) -> Iterator[tuple[int, ...]]:
+    """The clauses of the coloring formula in their fixed order, one at a time."""
+    n, k, num_colors = params.n, params.k, params.num_colors
+    size = 1 << n
+    for v in range(size):
+        yield tuple(var_index(v, c, num_colors) for c in range(1, num_colors + 1))
+
+    masks = ball_masks(n, k)
+    for u in range(size):
+        for v in sorted(u ^ m for m in masks):
+            if v < u:
+                continue
+            for c in range(1, num_colors + 1):
+                yield (-var_index(u, c, num_colors), -var_index(v, c, num_colors))
+
+    if options.at_most_one:
+        for v in range(size):
+            for c1, c2 in combinations(range(1, num_colors + 1), 2):
+                yield (-var_index(v, c1, num_colors), -var_index(v, c2, num_colors))
+
+    if options.symmetry == SYMMETRY_FIX_VERTEX_0:
+        yield (var_index(0, 1, num_colors),)
+    elif options.symmetry == SYMMETRY_FIX_CLIQUE:
+        clique = [0, *ball_masks(n, k // 2)]  # pairwise distances <= 2*(k//2) <= k
+        for c, w in enumerate(clique, start=1):
+            yield (var_index(w, c, num_colors),)
 
 
 def expected_clause_count(params: Params, options: EncodeOptions | None = None) -> int:
-    """Closed-form clause count, kept as an independent check on the encoder."""
+    """Closed-form clause count: the streamed DIMACS header's count, checked
+    against the clauses generated in the tests."""
     options = options or EncodeOptions()
     if params.num_colors is None:
         raise ValueError("encoding needs params.num_colors")
@@ -168,19 +161,21 @@ def expected_clause_count(params: Params, options: EncodeOptions | None = None) 
     return total
 
 
-def dimacs_lines(f: CnfFormula) -> Iterator[str]:
-    """The lines of write_dimacs(f), each ending in a newline, one at a time,
-    so a file can be written without holding the whole text."""
-    for c in f.comments:
+def dimacs_lines(
+    comments: Iterable[str], num_vars: int, num_clauses: int, clauses: Iterable[Iterable[int]]
+) -> Iterator[str]:
+    """The lines of a DIMACS file, each ending in a newline, one at a time,
+    so a file can be written without holding the whole text or formula."""
+    for c in comments:
         yield f"c {c}\n"
-    yield f"p cnf {f.num_vars} {len(f.clauses)}\n"
-    for cl in f.clauses:
+    yield f"p cnf {num_vars} {num_clauses}\n"
+    for cl in clauses:
         yield " ".join(map(str, cl)) + " 0\n"
 
 
 def write_dimacs(f: CnfFormula) -> str:
     """Standard DIMACS CNF text; byte-stable for a fixed formula."""
-    return "".join(dimacs_lines(f))
+    return "".join(dimacs_lines(f.comments, f.num_vars, len(f.clauses), f.clauses))
 
 
 def decode_model(true_vars: set[int], params: Params) -> Coloring:

@@ -92,6 +92,19 @@ def evaluate(formula, true_vars: set[int]) -> bool:
     )
 
 
+def clause_fault(clause, num_vars: int) -> str | None:
+    """Why a clause is malformed (empty, a literal outside +-1..num_vars, or
+    both x and -x), or None when it is well formed.  One literal at a time."""
+    if not clause:
+        return "empty clause"
+    for lit in clause:
+        if lit == 0 or abs(lit) > num_vars:
+            return f"literal {lit} out of range for {num_vars} variables"
+        if -lit in clause:
+            return f"clause {clause} contains both {lit} and {-lit}"
+    return None
+
+
 def read_dimacs(text: str) -> tuple[list[str], int, int, list[tuple[int, ...]]]:
     """(comments, num_vars, num_clauses, clauses) of DIMACS text with one
     0-terminated clause per line.  No error handling: for the writer's output."""

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -65,8 +66,8 @@ MALFORMED = {
     "n 3\nk 4\nclasses 1\nclass\n": "line 2: k must be in 0..3, got 4",
     "n 3\nk 2\nclasses 0\n": "line 3: classes must be in 1..8, got 0",
     "n 3\nk 2\nclasses 9\n": "line 3: classes must be in 1..8, got 9",
-    "n 3\nk 2\nclasses 2\nclass 0\n": "expected 2 class lines, found 1",
-    "n 3\nk 2\nclasses 1\nclass 0\nclass 1\n": "expected 1 class lines, found 2",
+    "n 3\nk 2\nclasses 2\nclass 0\n": "unexpected end of file: expected 2 class lines, found 1",
+    "n 3\nk 2\nclasses 1\nclass 0\nclass 1\n": "line 5: expected 1 class lines, found 2",
     "n 3\nk 2\nclasses 1\nclass 8\n": "line 4: word 8 out of range for n=3",
     "n 3\nk 2\nclasses 1\nclass x\n": "line 4: invalid literal for int() with base 10: 'x'",
     "n 3\nk 2\nclasses 1\nclass 1 1\n": "line 4: word 1 listed twice in one class",
@@ -355,6 +356,41 @@ def test_cli_encode_writes_the_library_dimacs(tmp_path, capsys, symmetry, amo):
     assert main(argv + ["--amo"] * amo + ["--out", str(cnf_path)]) == 0
     options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
     expected = write_dimacs(encode_coloring_cnf(Params(3, 2, 4), options))
+    assert cnf_path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "3", "--k", "2", "--colors", "3", "--symmetry", "fix-clique"],
+         "fix-clique needs at least 4 colors, got 3"),
+        (["--n", "17", "--k", "2", "--colors", "4"],
+         "encoding would build 40239104 clauses, above the limit of 6000000"),
+    ],
+)
+def test_cli_encode_checks_its_input_before_writing(tmp_path, capsys, argv, message):
+    # encode writes clauses as it generates them, so a check that ran late
+    # would leave a partial file behind.
+    cnf_path = tmp_path / "bad.cnf"
+    assert main(["encode", *argv, "--out", str(cnf_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not cnf_path.exists()
+
+
+def test_cli_encode_streams_the_clauses(tmp_path, capsys):
+    # Held as tuples, the 18,048 clauses of (7,2,10) peak at 2.8 MiB; written
+    # as they are generated, one clause at a time, encode peaks at 0.3 MiB.
+    cnf_path = tmp_path / "q7.cnf"
+    argv = ["encode", "--n", "7", "--k", "2", "--colors", "10", "--out", str(cnf_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().out == "variables: 1280\nclauses: 18048\n"
+    expected = write_dimacs(encode_coloring_cnf(Params(7, 2, 10)))
     assert cnf_path.read_bytes() == expected.encode()
 
 

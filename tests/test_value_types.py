@@ -67,8 +67,7 @@ FROZEN_TYPES = [
     ),
     pytest.param(
         lambda: CnfFormula(num_vars=2, clauses=[[1, -2]], comments=["c"]),
-        lambda: CnfFormula(2, [[1, -2]]), "clauses",
-        lambda: CnfFormula(1, [[2]]), "literal 2 out of range for 1 variables", id="CnfFormula",
+        lambda: CnfFormula(2, [[1, -2]]), "clauses", None, None, id="CnfFormula",
     ),
     pytest.param(
         lambda: EncodeOptions(at_most_one=True, symmetry="fix-clique"), lambda: EncodeOptions(),
