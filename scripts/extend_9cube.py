@@ -51,6 +51,7 @@ def main() -> int:
         print(
             f"freeze-subcube K={colors}: conflicts={out.conflicts}"
             f" iterations={out.iterations_used} time={elapsed:.1f}s"
+            f" it/s={out.iterations_used / elapsed:.0f}"
         )
         if args.save_prefix is not None:
             path = f"{args.save_prefix}{colors}.txt"

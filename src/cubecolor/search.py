@@ -13,7 +13,6 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, compress
-from operator import sub
 from typing import NamedTuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
@@ -25,8 +24,8 @@ from .hamming import Params, ball_masks, ball_size
 UNASSIGNED = 0
 
 #: Iterations between recounts, in self-check mode, of the tabu kernel's
-#: incremental state: the conflict tally, the conflicted-vertex list, and
-#: every vertex's neighbor color counts, own count and row minimum.
+#: incremental state: the conflict tally, the key buckets, and every vertex's
+#: neighbor color counts, own count, row minimum and its multiplicity.
 SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
@@ -35,8 +34,8 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
-#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 274, 560
-#: and 873 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR, whose heap keeps
+#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 262, 550
+#: and 868 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR, whose heap keeps
 #: an entry per colored neighbor, 100 B per mask (n = 13..16, k = 2).
 MAX_SEARCH_BYTES = 1 << 30
 
@@ -206,12 +205,13 @@ def dsatur_color(params: Params) -> Coloring:
 
 def _check_state(
     color_of: list[int], masks: list[int], frozen: frozenset[int], gamma: list[list[int]],
-    own: list[int], low: list[int], conflicted: list[int], conflicts: int, it: int,
+    own: list[int], low: list[int], nlow: list[int], buckets: list[list[int]],
+    conflicts: int, it: int,
 ) -> None:
     """Recount _tabu_run's incremental state from color_of; AssertionError names it."""
-    sentinel = 2 * len(color_of)
+    sentinel, deg = 2 * len(color_of), len(masks)
     recount = 0
-    expected = []
+    expected: list[list[int]] = [[] for _ in buckets]
     for v, cv in enumerate(color_of):
         row = [0] * len(gamma[v])
         for m in masks:
@@ -219,19 +219,22 @@ def _check_state(
         if own[v] != row[cv]:
             raise AssertionError(f"own count of vertex {v} out of date at iteration {it}")
         recount += own[v]
-        if own[v] and v not in frozen:
-            expected.append(v)
         row[0] = row[cv] = sentinel
         if gamma[v] != row:
             raise AssertionError(f"gamma row of vertex {v} out of date at iteration {it}")
         if own[v] and low[v] != min(row):
             raise AssertionError(f"row minimum of vertex {v} out of date at iteration {it}")
+        if own[v] and nlow[v] != row.count(low[v]):
+            raise AssertionError(f"row minimum count of vertex {v} out of date at iteration {it}")
+        if own[v] and v not in frozen and len(row) > 2:
+            expected[low[v] - own[v] + deg].append(v)
     if recount // 2 != conflicts:
         raise AssertionError(
             f"incremental conflict tally {conflicts} != recount {recount // 2} at iteration {it}"
         )
-    if expected != conflicted:
-        raise AssertionError(f"conflicted-vertex list out of date at iteration {it}")
+    for i, (bucket, want) in enumerate(zip(buckets, expected)):
+        if bucket != want:
+            raise AssertionError(f"bucket of key {i - deg} out of date at iteration {it}")
 
 
 def _tabu_run(
@@ -261,17 +264,21 @@ def _tabu_run(
       above every count.  own[v] holds the own count instead, so
       gamma[v][c] - own[v] is the delta of moving v to c, and the own slot is
       rewritten only when v itself moves.
-    - low[v] = min(gamma[v]) is valid while own[v] > 0: a decrement lowers it,
-      an increment of the minimum slot recomputes it, and it is set afresh
-      when own[v] rises from 0 and when v moves.
-    - conflicted holds, ascending, exactly the non-frozen v with own[v] > 0.
+    - low[v] = min(gamma[v]) and nlow[v], the number of slots holding it, are
+      valid while own[v] > 0.  A neighbor move shifts two slots by one, so
+      when the last minimum slot rises the minimum is one more; both are set
+      afresh when own[v] rises from 0 and when v moves.
+    - With deg = len(masks), buckets[key + deg] holds, ascending, exactly the
+      non-frozen v with own[v] > 0 and key = low[v] - own[v], which lies in
+      -deg..deg - 2.  With K = 1 no vertex has a move, so none is filed.
 
-    key = low[v] - own[v] is v's best delta, so the best move has the least
-    key, top.  If top aspirates, or every move is tabu, the candidates are
-    all minimum colors of the vertices keyed top.  Otherwise they are the
-    non-tabu minimum colors of those vertices; if all of them are tabu, the
-    rows are visited in key order while the key is at most the best delta so
-    far (later rows cannot reach it) and scanned in full.
+    key is v's best delta, so the best move has the least key, top, and the
+    first non-empty bucket holds its vertices.  If top aspirates, or every
+    move is tabu, the candidates are all nlow[v] minimum colors of those
+    vertices.  Otherwise they are their non-tabu minimum colors; if all of
+    them are tabu, the buckets are walked upward while the key is at most the
+    best delta so far (later rows cannot reach it) and each row is scanned
+    in full.
 
     Ties are counted, not listed: rng.choice(range(total)) draws the same
     index as rng.choice over a list of total ties and leaves rng in the same
@@ -279,20 +286,22 @@ def _tabu_run(
     (vertex, color) order, the order a scan of every pair would list them in,
     so the move drawn is the same.
     """
-    size = len(color_of)
+    size, deg = len(color_of), len(masks)
     sentinel = 2 * size  # a masked slot's delta stays above every real delta (< size)
     gamma = [[0] * (num_colors + 1) for _ in range(size)]
-    own = [0] * size
-    low = [sentinel] * size
+    own, low, nlow = [0] * size, [0] * size, [0] * size
+    buckets: list[list[int]] = [[] for _ in range(2 * deg)]
     for v, cv in enumerate(color_of):
         gv = gamma[v]
         for m in masks:
             gv[color_of[v ^ m]] += 1
         own[v] = gv[cv]
         gv[0] = gv[cv] = sentinel
-        low[v] = min(gv)
+        lo = low[v] = min(gv)
+        nlow[v] = gv.count(lo)
+        if own[v] and v not in frozen and num_colors > 1:
+            buckets[lo - own[v] + deg].append(v)
     conflicts = sum(own) // 2
-    conflicted = [v for v in range(size) if own[v] and v not in frozen]
 
     best_conflicts = conflicts
     best_colors = list(color_of)
@@ -302,11 +311,10 @@ def _tabu_run(
     it = 0
     while it < config.max_iterations and conflicts > 0:
         it += 1
-        keys = list(map(sub, map(low.__getitem__, conflicted), map(own.__getitem__, conflicted)))
-        top = min(keys, default=size)
-        if top >= size:
+        i = next(compress(range(len(buckets)), buckets), None)
+        if i is None:
             break  # no movable vertex at all (e.g. K = 1 or everything frozen)
-        tops = list(compress(conflicted, map(top.__eq__, keys)))
+        tops, top = buckets[i], i - deg
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
             tie_vs, tie_ns = [], []
@@ -314,7 +322,7 @@ def _tabu_run(
                 gv, lo, tv = gamma[v], low[v], tabu_until[v]
                 c = gv.index(lo)
                 n = tv[c] < it
-                for _ in range(gv.count(lo) - 1):
+                for _ in range(nlow[v] - 1):
                     c = gv.index(lo, c + 1)
                     n += tv[c] < it
                 if n:
@@ -323,32 +331,33 @@ def _tabu_run(
             best = top
             if not tie_vs:
                 best = size
-                for key, v in sorted(zip(keys, conflicted)):
+                for key, bucket in enumerate(buckets[i:], top):
                     if key > best:
                         break
-                    gv, o, tv = gamma[v], own[v], tabu_until[v]
-                    d, n = best, 0
-                    for c, g in enumerate(gv):
-                        delta = g - o
-                        if delta > d or tv[c] >= it:
-                            continue
-                        if delta < d:
-                            d, n = delta, 1
-                        else:
-                            n += 1
-                    if n:
-                        if d < best:
-                            best, tie_vs, tie_ns = d, [v], [n]
-                        else:
-                            tie_vs.append(v)
-                            tie_ns.append(n)
+                    for v in bucket:
+                        gv, o, tv = gamma[v], own[v], tabu_until[v]
+                        d, n = best, 0
+                        for c, g in enumerate(gv):
+                            delta = g - o
+                            if delta > d or tv[c] >= it:
+                                continue
+                            if delta < d:
+                                d, n = delta, 1
+                            else:
+                                n += 1
+                        if n:
+                            if d < best:
+                                best, tie_vs, tie_ns = d, [v], [n]
+                            else:
+                                tie_vs.append(v)
+                                tie_ns.append(n)
                 if len(tie_vs) > 1:
                     tie_vs, tie_ns = zip(*sorted(zip(tie_vs, tie_ns)))
                 any_color = not tie_vs  # forced fallback
         if any_color:
             best = top
             tie_vs = tops
-            tie_ns = list(map(list.count, map(gamma.__getitem__, tops), map(low.__getitem__, tops)))
+            tie_ns = list(map(nlow.__getitem__, tops))
         ends = list(accumulate(tie_ns))
         r = 0 if ends[-1] == 1 else rng.choice(range(ends[-1]))
         i = bisect_right(ends, r)
@@ -357,14 +366,16 @@ def _tabu_run(
             r -= ends[i - 1]
         gv, tv = gamma[v], tabu_until[v]
         target = best + own[v]
-        for c, g in enumerate(gv):
-            if g == target and (any_color or tv[c] < it):
-                if not r:
-                    break
-                r -= 1
+        c = -1
+        for _ in range(r + 1):
+            c = gv.index(target, c + 1)
+            while not (any_color or tv[c] < it):
+                c = gv.index(target, c + 1)
 
+        bucket = buckets[low[v] - own[v] + deg]
+        del bucket[bisect_left(bucket, v)]
         old = color_of[v]
-        tabu_until[v][old] = it + int(base + slope * conflicts)
+        tv[old] = it + int(base + slope * conflicts)
         color_of[v] = c
         for m in masks:
             u = v ^ m
@@ -374,37 +385,65 @@ def _tabu_run(
                 o = own[u] = own[u] - 1
                 g = gu[c]
                 gu[c] = g + 1
+                lo = low[u]
+                if u not in frozen:
+                    bucket = buckets[lo - o - 1 + deg]
+                    del bucket[bisect_left(bucket, u)]
                 if not o:
-                    if u not in frozen:
-                        del conflicted[bisect_left(conflicted, u)]
-                elif g == low[u]:
-                    low[u] = min(gu)
+                    continue
+                if g == lo:
+                    if nlow[u] > 1:
+                        nlow[u] -= 1
+                    else:
+                        lo = low[u] = g + 1
+                        nlow[u] = gu.count(lo)
             elif cu == c:
                 g = gu[old] = gu[old] - 1
                 o = own[u] = own[u] + 1
+                lo = low[u]
                 if o == 1:
-                    low[u] = min(gu)
+                    lo = low[u] = min(gu)
+                    nlow[u] = gu.count(lo)
+                else:
                     if u not in frozen:
-                        insort(conflicted, u)
-                elif g < low[u]:
-                    low[u] = g
+                        bucket = buckets[lo - o + 1 + deg]
+                        del bucket[bisect_left(bucket, u)]
+                    if g <= lo:
+                        nlow[u] = 1 if g < lo else nlow[u] + 1
+                        lo = low[u] = g
             else:
                 g = gu[old] = gu[old] - 1
                 h = gu[c]
                 gu[c] = h + 1
-                if own[u]:
-                    lo = low[u]
-                    if g < lo:
-                        low[u] = g
-                    elif h == lo:
-                        low[u] = min(gu)
+                o = own[u]
+                if not o:
+                    continue
+                lo = low[u]
+                if g == lo:
+                    nlow[u] += h != lo  # slot old joins the minimum, unless slot c just left it
+                    continue
+                if g < lo:
+                    low[u], nlow[u] = g, 1
+                elif h != lo:
+                    continue
+                elif nlow[u] > 1:
+                    nlow[u] -= 1
+                    continue
+                else:
+                    low[u], nlow[u] = h + 1, gu.count(h + 1)
+                if u not in frozen:
+                    bucket = buckets[lo - o + deg]
+                    del bucket[bisect_left(bucket, u)]
+                lo = low[u]
+            if u not in frozen:  # every branch reaching here changed u's key
+                insort(buckets[lo - o + deg], u)
         gv[old] = own[v]
         own[v] = o = gv[c]
         gv[c] = sentinel
         if o:
-            low[v] = min(gv)
-        else:
-            del conflicted[bisect_left(conflicted, v)]
+            lo = low[v] = min(gv)
+            nlow[v] = gv.count(lo)
+            insort(buckets[lo - o + deg], v)
         conflicts += best
 
         if conflicts < best_conflicts:
@@ -412,7 +451,7 @@ def _tabu_run(
             best_colors = list(color_of)
 
         if config.self_check and it % SELF_CHECK_PERIOD == 0:
-            _check_state(color_of, masks, frozen, gamma, own, low, conflicted, conflicts, it)
+            _check_state(color_of, masks, frozen, gamma, own, low, nlow, buckets, conflicts, it)
     return best_colors, best_conflicts, it
 
 

@@ -216,9 +216,9 @@ def test_tabu_self_check_mode_runs_clean():
     ids=["q5k5", "q4k3-fallback", "freeze-q4"],
 )
 def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
-    # Recounting after every move checks the conflict tally, the conflicted
-    # list and each vertex's gamma row, own count and row minimum; a stale
-    # entry raises AssertionError naming the iteration.
+    # Recounting after every move checks the conflict tally, the key buckets
+    # and each vertex's gamma row, own count, row minimum and its count; a
+    # stale entry raises AssertionError naming the iteration.
     monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 1)
     assert run().iterations_used > 0
 
@@ -365,45 +365,54 @@ def test_extend_double_always_valid_on_random_bases(seed):
 # of 2000.
 GOLDEN_TRAJECTORIES = {
     "q8k14-s3000": (
-        lambda: tabu_search(
-            Params(8, 2, 14), SearchConfig(rng_seed=3000, max_iterations=30_000, restarts=29)
+        lambda self_check=False: tabu_search(
+            Params(8, 2, 14),
+            SearchConfig(
+                rng_seed=3000, max_iterations=30_000, restarts=29, self_check=self_check
+            ),
         ),
         [0, 3388, 0, 3000, "17c7ec110198ca4ffa844c47b46ee0450e3efb0493eb5e66e29a47d2a8fd0c61"],
     ),
     "q9-freeze16-s5": (
-        lambda: extend_to_higher_dim(
+        lambda self_check=False: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=16,
-            config=SearchConfig(rng_seed=5, max_iterations=100_000),
+            config=SearchConfig(rng_seed=5, max_iterations=100_000, self_check=self_check),
         ),
         [0, 3748, 0, 5, "86ddbdb20f022c7bef7ba025452a7c1afce6302cb2fc3884f03e7ef3892e5607"],
     ),
     "q9f13-fixture-s0": (
-        lambda: extend_to_higher_dim(
+        lambda self_check=False: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=13,
-            config=SearchConfig(rng_seed=0, max_iterations=750),
+            config=SearchConfig(rng_seed=0, max_iterations=750, self_check=self_check),
         ),
         [83, 750, 0, 0, "91346af2321cc1dd10445a8fd7a9d777f53575aac54fb2fed44dca3c91c5290c"],
     ),
     "q10k40-s0": (
-        lambda: tabu_search(Params(10, 2, 40), SearchConfig(rng_seed=0, max_iterations=5_000)),
+        lambda self_check=False: tabu_search(
+            Params(10, 2, 40),
+            SearchConfig(rng_seed=0, max_iterations=5_000, self_check=self_check),
+        ),
         [0, 372, 0, 0, "60e36c71be71c9bca752dee10954f6152375265357874cb764f389d387da9df2"],
     ),
     "q4k3-fallback": (
-        lambda: tabu_search(
+        lambda self_check=False: tabu_search(
             Params(4, 2, 3),
-            SearchConfig(rng_seed=1, max_iterations=2_000, tabu_tenure_base=1000),
+            SearchConfig(
+                rng_seed=1, max_iterations=2_000, tabu_tenure_base=1000, self_check=self_check
+            ),
         ),
         [18, 2000, 0, 1, "fbc64db2e4d92d543fcbbc68791b60bb8a304ff380ffe7f3f5dae8eacfc6ba09"],
     ),
     "q5k4-fallback": (
-        lambda: tabu_search(
+        lambda self_check=False: tabu_search(
             Params(5, 2, 4),
             SearchConfig(
-                rng_seed=3, max_iterations=2_000, tabu_tenure_base=50, tabu_tenure_slope=2.0
+                rng_seed=3, max_iterations=2_000, tabu_tenure_base=50, tabu_tenure_slope=2.0,
+                self_check=self_check,
             ),
         ),
         [32, 2000, 0, 3, "442e21784b12614ffba75c7e945eb3bfb1bed787bf95bee6fb82c6634afed976"],
@@ -414,9 +423,22 @@ GOLDEN_TRAJECTORIES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
 def test_golden_trajectory(name):
     run, expected = GOLDEN_TRAJECTORIES[name]
-    out = run()
+    assert _record(run()) == expected
+
+
+def _record(out):
     digest = hashlib.sha256(save_coloring(out.best.to_coloring()).encode()).hexdigest()
-    assert [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest] == expected
+    return [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest]
+
+
+@pytest.mark.parametrize("name", ["q9f13-fixture-s0", "q10k40-s0"])
+def test_golden_trajectory_under_self_check(monkeypatch, name):
+    # At frontier scale many key buckets are filled at once, and the lift has
+    # frozen vertices; recounting every 25 moves must find no stale entry and
+    # leave the moves unchanged.
+    monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 25)
+    run, expected = GOLDEN_TRAJECTORIES[name]
+    assert _record(run(self_check=True)) == expected
 
 
 @settings(deadline=None)
@@ -435,12 +457,13 @@ def test_tabu_kernel_matches_reference(seed):
     colors = [rng.randrange(1, num + 1) for _ in range(size)]
     frozen_share = rng.choice((0.0, 0.3, 0.9))
     frozen = frozenset(v for v in range(size) if rng.random() < frozen_share)
-    config = SearchConfig(
+    knobs = dict(
         max_iterations=rng.randrange(1, 400),
         tabu_tenure_base=rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
         tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
         frozen=frozen,
     )
+    config = SearchConfig(**knobs)
     neighbors = oracles.naive_neighbors(n, k)
     run_seed = rng.randrange(10**9)
     fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
@@ -448,3 +471,65 @@ def test_tabu_kernel_matches_reference(seed):
     ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozen, ref_rng, config)
     assert fast == ref
     assert fast_rng.getstate() == ref_rng.getstate()
+    # The same run recounting its whole state after every move: no entry goes
+    # stale, and checking changes no move.
+    checked_rng = random.Random(run_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SELF_CHECK_PERIOD", 1)
+        checked = _tabu_run(
+            list(colors), num, ball_masks(n, k), frozen, checked_rng,
+            SearchConfig(**knobs, self_check=True),
+        )
+    assert checked == fast
+    assert checked_rng.getstate() == fast_rng.getstate()
+
+
+def _kernel_state(n, k, num, colors, frozen):
+    """The tabu kernel's incremental state for colors, built from scratch."""
+    neighbors = oracles.naive_neighbors(n, k)
+    sentinel, deg = 2 * len(colors), len(neighbors[0])
+    gamma, own, low, nlow = [], [], [], []
+    buckets = [[] for _ in range(2 * deg)]
+    for v, cv in enumerate(colors):
+        row = [0] * (num + 1)
+        for u in neighbors[v]:
+            row[colors[u]] += 1
+        own.append(row[cv])
+        row[0] = row[cv] = sentinel
+        gamma.append(row)
+        low.append(min(row))
+        nlow.append(row.count(min(row)))
+        if own[v] and v not in frozen:
+            buckets[low[v] - own[v] + deg].append(v)
+    return gamma, own, low, nlow, buckets, sum(own) // 2
+
+
+def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
+    # A correct state passes; one minimum count off by one, or one vertex
+    # filed under the next key, must raise naming the vertex or the bucket.
+    n, k, num = 4, 2, 4
+    rng = random.Random(3)
+    colors = [rng.randrange(1, num + 1) for _ in range(16)]
+    frozen = frozenset({0, 1})
+    gamma, own, low, nlow, buckets, conflicts = _kernel_state(n, k, num, colors, frozen)
+    deg = len(ball_masks(n, k))
+
+    def check():
+        search._check_state(
+            colors, ball_masks(n, k), frozen, gamma, own, low, nlow, buckets, conflicts, 7
+        )
+
+    check()  # the state as built is correct
+    v = next(v for v in range(16) if own[v] and v not in frozen)
+    nlow[v] += 1
+    with pytest.raises(
+        AssertionError, match=f"^row minimum count of vertex {v} out of date at iteration 7$"
+    ):
+        check()
+    nlow[v] -= 1
+    key = low[v] - own[v]
+    buckets[key + deg].remove(v)
+    buckets[key + 1 + deg].append(v)
+    buckets[key + 1 + deg].sort()
+    with pytest.raises(AssertionError, match=f"^bucket of key {key} out of date at iteration 7$"):
+        check()
