@@ -8,109 +8,51 @@ tabu search, encodes the problem as CNF, and ships the known partition of the
 8-cube into 13 such codes for k = 2.
 """
 
-from .bounds import (
-    ChromaticBound,
-    CodeSizeResult,
-    KnownValueTable,
-    UnknownCodeSizeError,
-    chromatic_lower_bound,
-    default_table,
-    exact_max_code_size,
-    packing_lower_bound,
-)
-from .coloring import (
-    ClassStats,
-    CodeClass,
-    Coloring,
-    VerifyReport,
-    Violation,
-    class_stats,
-    coloring_from_classes,
-    fingerprint,
-    transform_coloring,
-    verify_coloring,
-)
-from .files import ColoringParseError, load_coloring, save_coloring
-from .fixture import q8_square_13_coloring
-from .hamming import (
-    Automorphism,
-    Params,
-    apply_automorphism,
-    ball_size,
-    hamming_distance,
-    neighbors_within,
-    random_automorphism,
-)
-from .sat import (
-    CnfFormula,
-    EncodeOptions,
-    ModelDecodeError,
-    decode_model,
-    encode_coloring_cnf,
-    expected_clause_count,
-    parse_solver_model,
-    var_index,
-    write_dimacs,
-)
-from .search import (
-    Assignment,
-    SearchConfig,
-    SearchOutcome,
-    assignment_from_coloring,
-    conflict_count,
-    dsatur_color,
-    extend_to_higher_dim,
-    greedy_color,
-    tabu_search,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "Automorphism",
-    "ChromaticBound",
-    "ClassStats",
-    "CnfFormula",
-    "CodeClass",
-    "CodeSizeResult",
-    "Coloring",
-    "ColoringParseError",
-    "EncodeOptions",
-    "KnownValueTable",
-    "ModelDecodeError",
-    "Params",
-    "SearchConfig",
-    "SearchOutcome",
-    "UnknownCodeSizeError",
-    "VerifyReport",
-    "Violation",
-    "apply_automorphism",
-    "assignment_from_coloring",
-    "ball_size",
-    "chromatic_lower_bound",
-    "class_stats",
-    "coloring_from_classes",
-    "conflict_count",
-    "decode_model",
-    "default_table",
-    "dsatur_color",
-    "encode_coloring_cnf",
-    "exact_max_code_size",
-    "extend_to_higher_dim",
-    "fingerprint",
-    "greedy_color",
-    "hamming_distance",
-    "load_coloring",
-    "neighbors_within",
-    "packing_lower_bound",
-    "parse_solver_model",
-    "q8_square_13_coloring",
-    "random_automorphism",
-    "save_coloring",
-    "tabu_search",
-    "transform_coloring",
-    "var_index",
-    "verify_coloring",
-    "write_dimacs",
-]
+# The public names by home module.  Each is imported from there on first use
+# (PEP 562), so `import cubecolor` runs no submodule and a CLI command loads
+# only the modules it calls.
+_EXPORTS = {
+    "bounds": (
+        "ChromaticBound", "CodeSizeResult", "KnownValueTable", "UnknownCodeSizeError",
+        "chromatic_lower_bound", "default_table", "exact_max_code_size",
+        "packing_lower_bound",
+    ),
+    "coloring": (
+        "ClassStats", "CodeClass", "Coloring", "VerifyReport", "Violation", "class_stats",
+        "coloring_from_classes", "fingerprint", "transform_coloring", "verify_coloring",
+    ),
+    "files": ("ColoringParseError", "load_coloring", "save_coloring"),
+    "fixture": ("q8_square_13_coloring",),
+    "hamming": (
+        "Automorphism", "Params", "apply_automorphism", "ball_size", "hamming_distance",
+        "neighbors_within", "random_automorphism",
+    ),
+    "sat": (
+        "CnfFormula", "EncodeOptions", "ModelDecodeError", "decode_model",
+        "encode_coloring_cnf", "parse_solver_model", "var_index", "write_dimacs",
+    ),
+    "search": (
+        "Assignment", "SearchConfig", "SearchOutcome", "assignment_from_coloring",
+        "conflict_count", "dsatur_color", "extend_to_higher_dim", "greedy_color",
+        "tabu_search",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

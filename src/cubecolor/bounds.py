@@ -10,8 +10,8 @@ bound (maximum independent set of the distance-< d conflict graph, with word
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .files import content_lines, parse_ints
 from .frozen import Frozen
@@ -33,9 +33,8 @@ class UnknownCodeSizeError(ValueError):
     """A(n, d) is neither in the table nor computable at desk scale."""
 
 
-class TableEntry(NamedTuple):
-    value: int
-    citation: str
+class TableEntry(namedtuple("TableEntry", "value citation")):
+    __slots__ = ()
 
 
 class KnownValueTable(Frozen):
@@ -74,9 +73,10 @@ def default_table() -> KnownValueTable:
     return KnownValueTable.from_text(text)
 
 
-class CodeSizeResult(NamedTuple):
-    value: int
-    status: str  # STATUS_EXACT or STATUS_TIMEOUT
+class CodeSizeResult(namedtuple("CodeSizeResult", "value status")):
+    """status is STATUS_EXACT or STATUS_TIMEOUT."""
+
+    __slots__ = ()
 
 
 def _conflict_adjacency(n: int, d: int) -> list[int]:
@@ -184,11 +184,11 @@ def packing_lower_bound(n: int, max_code_size: int) -> int:
     return -((1 << n) // -max_code_size)
 
 
-class ChromaticBound(NamedTuple):
-    bound: int
-    source: str  # SOURCE_TABLE or SOURCE_EXACT
-    max_code_size: int
-    citation: str | None  # the table's citation; None when the value was computed
+class ChromaticBound(namedtuple("ChromaticBound", "bound source max_code_size citation")):
+    """source is SOURCE_TABLE or SOURCE_EXACT; citation is the table's, None
+    when max_code_size was computed."""
+
+    __slots__ = ()
 
 
 def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) -> ChromaticBound:

@@ -15,29 +15,9 @@ import argparse
 import os
 import sys
 
-from .bounds import chromatic_lower_bound
-from .coloring import VerifyReport, class_stats, fingerprint_from_stats, verify_coloring
-from .files import load_coloring, save_coloring
-from .fixture import q8_square_13_coloring
-from .hamming import Params
-from .sat import (
-    SYMMETRIES,
-    SYMMETRY_NONE,
-    EncodeOptions,
-    coloring_cnf_stream,
-    decode_model,
-    dimacs_lines,
-    parse_solver_model,
-)
-from .search import (
-    STRATEGIES,
-    SearchConfig,
-    assignment_from_coloring,
-    dsatur_color,
-    extend_to_higher_dim,
-    greedy_color,
-    tabu_search,
-)
+# Each command imports what it calls, so a command loads only the modules it
+# runs.  The parser imports none: its --strategy and --symmetry choices spell
+# out search.STRATEGIES and sat.SYMMETRIES, which a test holds them to.
 
 
 def _read_text(path: str) -> str:
@@ -53,6 +33,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load(path: str):
+    from .files import load_coloring
+
     return load_coloring(_read_text(path))
 
 
@@ -60,11 +42,13 @@ def _fmt_distance(d) -> str:
     return "inf" if d == float("inf") else str(d)
 
 
-def _status(report: VerifyReport) -> str:
+def _status(report) -> str:
     return f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .coloring import verify_coloring
+
     col = _load(args.file)
     report = verify_coloring(col)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
@@ -82,6 +66,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .bounds import chromatic_lower_bound
+
     result = chromatic_lower_bound(args.n, args.k)
     print(result.bound)
     detail = f"A({args.n},{args.k + 1}) = {result.max_code_size}"
@@ -92,19 +78,24 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _add_search_config_args(p: argparse.ArgumentParser) -> None:
-    defaults = SearchConfig()
-    p.add_argument("--seed", type=int, default=defaults.rng_seed)
-    p.add_argument("--max-iters", type=int, default=defaults.max_iterations)
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    # No defaults here: an omitted flag takes SearchConfig's.
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--restarts", type=int)
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
-        rng_seed=args.seed, max_iterations=args.max_iters, restarts=args.restarts
-    )
+def _search_config(args: argparse.Namespace):
+    from .search import SearchConfig
+
+    given = {"rng_seed": args.seed, "max_iterations": args.max_iters, "restarts": args.restarts}
+    return SearchConfig(**{key: value for key, value in given.items() if value is not None})
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .files import save_coloring
+    from .hamming import Params
+    from .search import assignment_from_coloring, dsatur_color, greedy_color, tabu_search
+
     params = Params(args.n, args.k, args.colors)
     if args.algo in ("greedy", "dsatur"):
         col = (greedy_color if args.algo == "greedy" else dsatur_color)(Params(args.n, args.k))
@@ -127,6 +118,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    from .files import save_coloring
+    from .search import extend_to_higher_dim
+
     base = _load(args.infile)
     outcome = extend_to_higher_dim(
         base, args.strategy, num_colors=args.colors, config=_search_config(args)
@@ -139,6 +133,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
+    from .hamming import Params
+    from .sat import EncodeOptions, coloring_cnf_stream, dimacs_lines
+
     params = Params(args.n, args.k, args.colors)
     options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
     comments, num_vars, num_clauses, clauses = coloring_cnf_stream(params, options)
@@ -150,6 +147,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode_model(args: argparse.Namespace) -> int:
+    from .coloring import verify_coloring
+    from .files import save_coloring
+    from .hamming import Params
+    from .sat import decode_model, parse_solver_model
+
     params = Params(args.n, args.k, args.colors)
     true_vars = parse_solver_model(_read_text(args.model))
     col = decode_model(true_vars, params)
@@ -161,6 +163,8 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .coloring import class_stats, fingerprint_from_stats
+
     col = _load(args.file)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
     stats = [class_stats(c) for c in col.classes]
@@ -176,6 +180,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
+    from .files import save_coloring
+    from .fixture import q8_square_13_coloring
+
     print(save_coloring(q8_square_13_coloring()), end="")
     return 0
 
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="lift a coloring of Q_n^k to Q_{n+1}^k")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, required=True)
+    p.add_argument("--strategy", choices=("double", "freeze-subcube"), required=True)
     p.add_argument("--colors", type=int)
     _add_search_config_args(p)
     p.add_argument("--out", required=True)
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--symmetry", choices=SYMMETRIES, default=SYMMETRY_NONE)
+    p.add_argument("--symmetry", choices=("none", "fix-vertex-0", "fix-clique"), default="none")
     p.add_argument("--amo", action="store_true", help="add pairwise at-most-one clauses")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)

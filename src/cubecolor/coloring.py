@@ -9,8 +9,8 @@ concrete witness; per-class statistics are computed either way.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain, combinations, islice
-from typing import NamedTuple
 
 from .frozen import Frozen
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
@@ -77,7 +77,9 @@ def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozen
     return Coloring(params, tuple(CodeClass(frozenset(c), params.n) for c in classes))
 
 
-class ClassStats(NamedTuple):
+class ClassStats(
+    namedtuple("ClassStats", "size min_distance weight_distribution distance_distribution")
+):
     """Size, minimum distance, and weight/distance histograms of one class.
 
     weight_distribution[w] counts words of weight w (length n+1);
@@ -86,10 +88,7 @@ class ClassStats(NamedTuple):
     distance_distribution, INFINITE_DISTANCE when there is none.
     """
 
-    size: int
-    min_distance: int | float
-    weight_distribution: tuple[int, ...]
-    distance_distribution: tuple[int, ...]
+    __slots__ = ()
 
 
 def class_stats(c: CodeClass) -> ClassStats:
@@ -98,8 +97,10 @@ def class_stats(c: CodeClass) -> ClassStats:
     for w in c.words:
         weights[w.bit_count()] += 1
     distances = [0] * (n + 1)
-    for u, v in combinations(c.words, 2):
-        distances[hamming_distance(u, v)] += 1
+    words = list(c.words)
+    for i, u in enumerate(words, start=1):
+        for v in words[i:]:
+            distances[(u ^ v).bit_count()] += 1
     return ClassStats(
         size=len(c),
         min_distance=next((d for d, count in enumerate(distances) if count), INFINITE_DISTANCE),
@@ -108,25 +109,24 @@ def class_stats(c: CodeClass) -> ClassStats:
     )
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "kind words classes", defaults=((),))):
     """One concrete failure: which condition broke, on which words, in which classes.
 
     kind is one of "missing-word", "duplicate-word", "distance-violation".
-    classes holds 1-based color indices.
+    classes holds 1-based color indices, () by default.
     """
 
-    kind: str
-    words: tuple[int, ...]
-    classes: tuple[int, ...] = ()
+    __slots__ = ()
 
 
-class VerifyReport(NamedTuple):
+class VerifyReport(
+    namedtuple(
+        "VerifyReport", "valid violations per_class num_violations", defaults=((), (), 0)
+    )
+):
     """violations holds the first MAX_WITNESSES of num_violations, in check order."""
 
-    valid: bool
-    violations: tuple[Violation, ...] = ()
-    per_class: tuple[ClassStats, ...] = ()
-    num_violations: int = 0
+    __slots__ = ()
 
 
 def verify_coloring(col: Coloring) -> VerifyReport:

@@ -7,7 +7,6 @@ bit-order convention.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import comb
 
@@ -125,8 +124,12 @@ def apply_automorphism(v: int, a: Automorphism) -> int:
     return out ^ a.translation
 
 
-def random_automorphism(n: int, rng: random.Random) -> Automorphism:
-    """Uniform random coordinate permutation combined with a uniform translation."""
+def random_automorphism(n: int, rng) -> Automorphism:
+    """Uniform random coordinate permutation combined with a uniform translation.
+
+    rng is a random.Random; this module does not import random, which only
+    the searches need.
+    """
     perm = list(range(n))
     rng.shuffle(perm)
     return Automorphism(tuple(perm), rng.randrange(1 << n))

@@ -162,15 +162,19 @@ def expected_clause_count(params: Params, options: EncodeOptions | None = None) 
 
 
 def dimacs_lines(
-    comments: Iterable[str], num_vars: int, num_clauses: int, clauses: Iterable[Iterable[int]]
+    comments: Iterable[str], num_vars: int, num_clauses: int, clauses: Iterable[tuple[int, ...]]
 ) -> Iterator[str]:
     """The lines of a DIMACS file, each ending in a newline, one at a time,
     so a file can be written without holding the whole text or formula."""
     for c in comments:
         yield f"c {c}\n"
     yield f"p cnf {num_vars} {num_clauses}\n"
+    formats: dict[int, str] = {}  # clause length -> "%d %d ... 0\n"
     for cl in clauses:
-        yield " ".join(map(str, cl)) + " 0\n"
+        fmt = formats.get(len(cl))
+        if fmt is None:
+            fmt = formats[len(cl)] = "%d " * len(cl) + "0\n"
+        yield fmt % cl
 
 
 def write_dimacs(f: CnfFormula) -> str:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import namedtuple
 from itertools import accumulate, compress
-from typing import NamedTuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .frozen import Frozen
@@ -118,7 +118,9 @@ class SearchConfig(Frozen):
         )
 
 
-class SearchOutcome(NamedTuple):
+class SearchOutcome(
+    namedtuple("SearchOutcome", "best conflicts iterations_used restarts_used seed_used")
+):
     """Best assignment found plus the counters needed to reproduce it.
 
     conflicts is conflict_count(best).  seed_used is the seed of the restart
@@ -127,11 +129,7 @@ class SearchOutcome(NamedTuple):
     executed; iterations_used sums iterations over all executed restarts.
     """
 
-    best: Assignment
-    conflicts: int
-    iterations_used: int
-    restarts_used: int
-    seed_used: int
+    __slots__ = ()
 
 
 def conflict_count(a: Assignment) -> int:

@@ -1,5 +1,6 @@
 """Coloring file format and the command-line surface."""
 
+import argparse
 import os
 import random
 import subprocess
@@ -13,14 +14,14 @@ from hypothesis import strategies as st
 
 import cubecolor
 import oracles
-from cubecolor import cli, coloring
+from cubecolor import cli, coloring, sat, search
 from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, fingerprint, verify_coloring
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
 from cubecolor.sat import SYMMETRIES, EncodeOptions, encode_coloring_cnf, write_dimacs
-from cubecolor.search import greedy_color
+from cubecolor.search import SearchConfig, greedy_color
 
 Q3_TEXT = "n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3 4\n"
 
@@ -444,7 +445,6 @@ def test_cli_stats_fingerprint_matches_library_and_walks_each_class_once(
         walked.append(c)
         return real_class_stats(c)
 
-    monkeypatch.setattr(cli, "class_stats", counting)
     monkeypatch.setattr(coloring, "class_stats", counting)
     assert main(["stats", str(path)]) == 0
     col = load_coloring(text)
@@ -495,3 +495,98 @@ def test_cli_unknown_arguments_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# --- What each entry point loads ---
+
+SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search"}
+
+# (argv, or None for a bare `import cubecolor`; the submodules it must not load).
+# Each runs in a fresh `python -S` (no site hook preloads a module and hides an
+# import of it); all but `bound` must also leave typing unloaded, because
+# importlib.resources, which reads bound's table, imports it.
+ENTRY_POINTS = [
+    pytest.param(None, SUBMODULES, id="import"),
+    pytest.param(["fixture"], {"search", "sat", "bounds"}, id="fixture"),
+    pytest.param(["verify", "{q3}"], {"search", "sat", "bounds", "fixture"}, id="verify"),
+    pytest.param(["stats", "{q3}"], {"search", "sat", "bounds", "fixture"}, id="stats"),
+    pytest.param(["bound", "--n", "8", "--k", "2"], {"search", "sat"}, id="bound"),
+    pytest.param(
+        ["encode", "--n", "3", "--k", "2", "--colors", "4", "--out", "{out}"],
+        {"search", "bounds"}, id="encode",
+    ),
+    pytest.param(
+        ["decode-model", "--n", "3", "--k", "2", "--colors", "4", "--model", "{model}",
+         "--out", "{out}"],
+        {"search", "bounds"}, id="decode-model",
+    ),
+    pytest.param(
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--algo", "greedy", "--out", "{out}"],
+        {"sat", "bounds"}, id="search",
+    ),
+    pytest.param(
+        ["extend", "--in", "{q3}", "--strategy", "double", "--out", "{out}"],
+        {"sat", "bounds"}, id="extend",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", ENTRY_POINTS)
+def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_path):
+    model = tmp_path / "model.txt"
+    col = coloring_from_classes(Params(3, 2, 4), [[0, 7], [1, 6], [2, 5], [3, 4]])
+    model.write_text("v " + " ".join(map(str, sorted(oracles.coloring_to_model(col)))) + " 0\n")
+    report = "print('typing' in sys.modules, *(m for m in sys.modules if m.startswith('cubecolor.')))"
+    if argv is None:
+        code = f"import cubecolor, sys; {report}"
+    else:
+        files = {"q3": q3_file, "model": str(model), "out": str(tmp_path / "out")}
+        argv = [a.format(**files) for a in argv]
+        code = f"import sys; from cubecolor import cli; assert cli.main({argv!r}) == 0; {report}"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cubecolor.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    typing_loaded, *loaded = proc.stdout.splitlines()[-1].split()
+    if argv is None or argv[0] != "bound":
+        assert typing_loaded == "False"
+    loaded = {m.removeprefix("cubecolor.") for m in loaded}
+    assert loaded <= SUBMODULES
+    assert not loaded & unloaded
+
+
+def test_package_exports_resolve_to_their_home_objects():
+    assert len(cubecolor.__all__) == 46
+    listed = dir(cubecolor)
+    for name in cubecolor.__all__:
+        value = getattr(cubecolor, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert name in listed
+    namespace = {}
+    exec("from cubecolor import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(cubecolor.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'cubecolor' has no attribute 'nope'$"):
+        cubecolor.nope
+
+
+def _option(command, flag):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices[command]._actions if flag in a.option_strings)
+
+
+def test_cli_parser_choices_and_defaults_are_the_librarys():
+    assert _option("extend", "--strategy").choices == search.STRATEGIES
+    assert _option("encode", "--symmetry").choices == sat.SYMMETRIES
+    assert _option("encode", "--symmetry").default == sat.SYMMETRY_NONE
+    for argv in (
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--out", "x"],
+        ["extend", "--in", "x", "--strategy", "double", "--out", "y"],
+    ):
+        parse = cli.build_parser().parse_args
+        assert cli._search_config(parse(argv)) == SearchConfig()
+        given = parse([*argv, "--seed", "5", "--max-iters", "7", "--restarts", "2"])
+        assert cli._search_config(given) == SearchConfig(rng_seed=5, max_iterations=7, restarts=2)
