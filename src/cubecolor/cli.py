@@ -15,9 +15,15 @@ import argparse
 import os
 import sys
 
-# Each command imports what it calls, so a command loads only the modules it
-# runs.  The parser imports none: its --strategy and --symmetry choices spell
-# out search.STRATEGIES and sat.SYMMETRIES, which a test holds them to.
+from .coloring import class_stats, fingerprint_from_stats, verify_coloring
+from .files import load_coloring, save_coloring
+from .hamming import Params
+
+# Every command loads the modules above anyway (bound through bounds).  The
+# search, SAT, bounds and fixture modules are imported only by the commands
+# that run them, and the parser needs none of them: its --strategy and
+# --symmetry choices spell out search.STRATEGIES and sat.SYMMETRIES, which a
+# test holds them to.
 
 
 def _read_text(path: str) -> str:
@@ -33,8 +39,6 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load(path: str):
-    from .files import load_coloring
-
     return load_coloring(_read_text(path))
 
 
@@ -47,8 +51,6 @@ def _status(report) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .coloring import verify_coloring
-
     col = _load(args.file)
     report = verify_coloring(col)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
@@ -92,8 +94,6 @@ def _search_config(args: argparse.Namespace):
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from .files import save_coloring
-    from .hamming import Params
     from .search import assignment_from_coloring, dsatur_color, greedy_color, tabu_search
 
     params = Params(args.n, args.k, args.colors)
@@ -118,7 +118,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    from .files import save_coloring
     from .search import extend_to_higher_dim
 
     base = _load(args.infile)
@@ -133,7 +132,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    from .hamming import Params
     from .sat import EncodeOptions, coloring_cnf_stream, dimacs_lines
 
     params = Params(args.n, args.k, args.colors)
@@ -147,9 +145,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_decode_model(args: argparse.Namespace) -> int:
-    from .coloring import verify_coloring
-    from .files import save_coloring
-    from .hamming import Params
     from .sat import decode_model, parse_solver_model
 
     params = Params(args.n, args.k, args.colors)
@@ -163,8 +158,6 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .coloring import class_stats, fingerprint_from_stats
-
     col = _load(args.file)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
     stats = [class_stats(c) for c in col.classes]
@@ -180,7 +173,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
-    from .files import save_coloring
     from .fixture import q8_square_13_coloring
 
     print(save_coloring(q8_square_13_coloring()), end="")

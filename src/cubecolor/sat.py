@@ -165,15 +165,16 @@ def dimacs_lines(
     comments: Iterable[str], num_vars: int, num_clauses: int, clauses: Iterable[tuple[int, ...]]
 ) -> Iterator[str]:
     """The lines of a DIMACS file, each ending in a newline, one at a time,
-    so a file can be written without holding the whole text or formula."""
+    so a file can be written without holding the whole text or formula.
+    Each clause is a tuple; its literals are written as str() writes them."""
     for c in comments:
         yield f"c {c}\n"
     yield f"p cnf {num_vars} {num_clauses}\n"
-    formats: dict[int, str] = {}  # clause length -> "%d %d ... 0\n"
+    formats: dict[int, str] = {}  # clause length -> "%s %s ... 0\n" (" 0\n" if empty)
     for cl in clauses:
         fmt = formats.get(len(cl))
         if fmt is None:
-            fmt = formats[len(cl)] = "%d " * len(cl) + "0\n"
+            fmt = formats[len(cl)] = " ".join(["%s"] * len(cl)) + " 0\n"
         yield fmt % cl
 
 

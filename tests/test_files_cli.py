@@ -445,6 +445,7 @@ def test_cli_stats_fingerprint_matches_library_and_walks_each_class_once(
         walked.append(c)
         return real_class_stats(c)
 
+    monkeypatch.setattr(cli, "class_stats", counting)
     monkeypatch.setattr(coloring, "class_stats", counting)
     assert main(["stats", str(path)]) == 0
     col = load_coloring(text)
@@ -501,10 +502,15 @@ def test_cli_unknown_arguments_exit_2():
 
 SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search"}
 
+# Standard modules that cost start-up time and that no entry point needs
+# (pathlib alone pulls in urllib.parse and ipaddress).  Only `bound` may load
+# those that importlib.resources, which reads its table, imports.
+SLOW_IMPORTS = {"dataclasses", "importlib.resources", "inspect", "pathlib", "typing"}
+RESOURCES_IMPORTS = {"importlib.resources", "inspect", "pathlib", "typing"}
+
 # (argv, or None for a bare `import cubecolor`; the submodules it must not load).
-# Each runs in a fresh `python -S` (no site hook preloads a module and hides an
-# import of it); all but `bound` must also leave typing unloaded, because
-# importlib.resources, which reads bound's table, imports it.
+# Each runs in a fresh `python -S`, so no site hook preloads a module and hides
+# an import of it.
 ENTRY_POINTS = [
     pytest.param(None, SUBMODULES, id="import"),
     pytest.param(["fixture"], {"search", "sat", "bounds"}, id="fixture"),
@@ -536,7 +542,7 @@ def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_p
     model = tmp_path / "model.txt"
     col = coloring_from_classes(Params(3, 2, 4), [[0, 7], [1, 6], [2, 5], [3, 4]])
     model.write_text("v " + " ".join(map(str, sorted(oracles.coloring_to_model(col)))) + " 0\n")
-    report = "print('typing' in sys.modules, *(m for m in sys.modules if m.startswith('cubecolor.')))"
+    report = f"print(*(m for m in sys.modules if m in {SLOW_IMPORTS!r} or m[:10] == 'cubecolor.'))"
     if argv is None:
         code = f"import cubecolor, sys; {report}"
     else:
@@ -550,10 +556,10 @@ def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_p
         text=True,
         check=True,
     )
-    typing_loaded, *loaded = proc.stdout.splitlines()[-1].split()
-    if argv is None or argv[0] != "bound":
-        assert typing_loaded == "False"
-    loaded = {m.removeprefix("cubecolor.") for m in loaded}
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    allowed = RESOURCES_IMPORTS if argv is not None and argv[0] == "bound" else set()
+    assert loaded & SLOW_IMPORTS <= allowed
+    loaded = {m.removeprefix("cubecolor.") for m in loaded - SLOW_IMPORTS}
     assert loaded <= SUBMODULES
     assert not loaded & unloaded
 

@@ -13,6 +13,7 @@ from cubecolor.hamming import Params
 from cubecolor.search import greedy_color
 from cubecolor.sat import (
     MAX_CLAUSES,
+    CnfFormula,
     EncodeOptions,
     ModelDecodeError,
     decode_model,
@@ -138,6 +139,14 @@ def test_dimacs_format_shape():
     assert lines[3] == "p cnf 4 4"
     assert lines[4] == "1 2 0"
     assert text.endswith("0\n")
+
+
+def test_dimacs_writes_any_hand_built_formula_literal_for_literal():
+    # CnfFormula checks nothing, so the writer must not assume the encoder's
+    # clauses: the empty clause keeps its leading space and each literal is
+    # written as str() writes it.
+    f = CnfFormula(3, [[], [1], [-2, 3], [], [1, -2, 3], (4, 5)], comments=["hand"])
+    assert write_dimacs(f) == "c hand\np cnf 3 6\n 0\n1 0\n-2 3 0\n 0\n1 -2 3 0\n4 5 0\n"
 
 
 @pytest.mark.parametrize(

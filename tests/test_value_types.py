@@ -25,10 +25,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site hook may preload these modules and hide an import of them.
-    # pathlib alone pulls in urllib.parse and ipaddress; the CLI uses open().
+    # Imports every module of the package, not only the CLI, which loads the
+    # rest on demand: none may import these at its top.  -S: no site hook may
+    # preload them and hide an import of them.  pathlib alone pulls in
+    # urllib.parse and ipaddress; the CLI uses open().
+    modules = sorted(f"cubecolor.{p.stem}" for p in (SRC / "cubecolor").glob("*.py"))
     code = (
-        "import cubecolor.cli, sys;"
+        f"import sys, {', '.join(modules)};"
         " print(*(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'pathlib')"
         " if m in sys.modules))"
     )
@@ -39,6 +42,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         text=True,
         check=True,
     )
+    assert "cubecolor.search" in modules and "cubecolor.sat" in modules
     assert proc.stdout.split() == []
 
 
