@@ -360,7 +360,9 @@ def test_extend_double_always_valid_on_random_bases(seed):
 # coloring a seed reaches, or how fast, fails here.  The first four match
 # perfbench/pins.json.  The K = 13 lift never solves; in 23 of its 750
 # iterations every minimum color of the rows of least key is tabu and none
-# aspirates, so rows are scanned in full.  The last two spend most iterations
+# aspirates, so rows are scanned in full.  The K = 14 lift runs all four
+# restarts, so restarts 1..3 draw the free half's colors afresh; restart 1
+# (seed 8) ends best.  The last two spend most iterations
 # in the forced fallback move (every move tabu, none aspirating): 1968 and 815
 # of 2000.
 GOLDEN_TRAJECTORIES = {
@@ -390,6 +392,17 @@ GOLDEN_TRAJECTORIES = {
             config=SearchConfig(rng_seed=0, max_iterations=750, self_check=self_check),
         ),
         [83, 750, 0, 0, "91346af2321cc1dd10445a8fd7a9d777f53575aac54fb2fed44dca3c91c5290c"],
+    ),
+    "q9-freeze14-s7-r3": (
+        lambda self_check=False: extend_to_higher_dim(
+            q8_square_13_coloring(),
+            "freeze-subcube",
+            num_colors=14,
+            config=SearchConfig(
+                rng_seed=7, max_iterations=2_000, restarts=3, self_check=self_check
+            ),
+        ),
+        [7, 8000, 3, 8, "50e17aea1f38c269a92438c0b01a1f98b8aa01e9756447964a7958bfa84b5bf4"],
     ),
     "q10k40-s0": (
         lambda self_check=False: tabu_search(
