@@ -5,8 +5,10 @@ Whether chi for Q_9^2 is closer to its packing bound 13 than to 26 is open.
 The doubling construction always succeeds with 26 colors; the freeze-subcube
 strategy pins the 8-cube half at the embedded coloring and lets the tabu
 search fight over the other 256 vertices with a smaller palette.  Residual
-conflict counts are reported per palette size; zero at --colors 13 would be a
-genuine discovery.
+conflict counts are reported per palette size.  At --colors 13 each new
+vertex sees 9 distinct colors in the pinned half (a clique of Q_8^2), so only
+4 are allowed.  An exact search prototype over those lists, kept outside the
+repo, found no lift; reproducing that in the repo is ROADMAP item 2.
 """
 
 import argparse

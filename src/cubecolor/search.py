@@ -92,18 +92,16 @@ class SearchConfig(Frozen):
     current_conflicts iterations.  Restart r uses seed rng_seed + r; the best
     outcome across restarts wins, ties going to the earliest restart, so a
     parallel fan-out would return the same answer as the sequential loop.
-    frozen vertices keep the color given by the initial assignment.
     """
 
     __slots__ = (
         "rng_seed", "max_iterations", "restarts", "tabu_tenure_base", "tabu_tenure_slope",
-        "frozen", "self_check",
+        "self_check",
     )
 
     def __init__(
         self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0,
-        tabu_tenure_base: int = 7, tabu_tenure_slope: float = 0.6,
-        frozen: frozenset[int] = frozenset(), self_check: bool = False,
+        tabu_tenure_base: int = 7, tabu_tenure_slope: float = 0.6, self_check: bool = False,
     ) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
@@ -114,7 +112,7 @@ class SearchConfig(Frozen):
         self._init(
             rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts,
             tabu_tenure_base=tabu_tenure_base, tabu_tenure_slope=tabu_tenure_slope,
-            frozen=frozen, self_check=self_check,
+            self_check=self_check,
         )
 
 
@@ -201,36 +199,54 @@ def dsatur_color(params: Params) -> Coloring:
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
+def _fresh_state(
+    color_of: list[int], num_colors: int, masks: list[int], fixed: list[list[int]] | None
+) -> tuple[list[list[int]], list[int], list[int], list[int], list[list[int]], int]:
+    """_tabu_run's state counted from color_of: gamma, own, low, nlow, buckets, conflicts."""
+    size = len(color_of)
+    deg = len(masks) + (sum(fixed[0]) if fixed else 0)  # every vertex's full degree
+    sentinel = 2 * deg  # a masked slot's delta, at least deg, stays above every real delta
+    gamma = [list(row) for row in fixed] if fixed else [[0] * (num_colors + 1) for _ in color_of]
+    own, low, nlow = [0] * size, [0] * size, [0] * size
+    buckets: list[list[int]] = [[] for _ in range(2 * deg)]
+    for v, cv in enumerate(color_of):
+        gv = gamma[v]
+        for m in masks:
+            gv[color_of[v ^ m]] += 1
+        own[v] = gv[cv]
+        gv[0] = gv[cv] = sentinel
+        lo = low[v] = min(gv)
+        nlow[v] = gv.count(lo)
+        if own[v] and num_colors > 1:
+            buckets[lo - own[v] + deg].append(v)
+    fixed_pairs = sum(row[cv] for row, cv in zip(fixed, color_of)) if fixed else 0
+    return gamma, own, low, nlow, buckets, (sum(own) + fixed_pairs) // 2  # own counts those once
+
+
 def _check_state(
-    color_of: list[int], masks: list[int], frozen: frozenset[int], gamma: list[list[int]],
-    own: list[int], low: list[int], nlow: list[int], buckets: list[list[int]],
-    conflicts: int, it: int,
+    color_of: list[int], masks: list[int], fixed: list[list[int]] | None,
+    gamma: list[list[int]], own: list[int], low: list[int], nlow: list[int],
+    buckets: list[list[int]], conflicts: int, it: int,
 ) -> None:
     """Recount _tabu_run's incremental state from color_of; AssertionError names it."""
-    sentinel, deg = 2 * len(color_of), len(masks)
-    recount = 0
-    expected: list[list[int]] = [[] for _ in buckets]
-    for v, cv in enumerate(color_of):
-        row = [0] * len(gamma[v])
-        for m in masks:
-            row[color_of[v ^ m]] += 1
-        if own[v] != row[cv]:
+    want_gamma, want_own, want_low, want_nlow, want_buckets, recount = _fresh_state(
+        color_of, len(gamma[0]) - 1, masks, fixed
+    )
+    for v in range(len(color_of)):
+        if own[v] != want_own[v]:
             raise AssertionError(f"own count of vertex {v} out of date at iteration {it}")
-        recount += own[v]
-        row[0] = row[cv] = sentinel
-        if gamma[v] != row:
+        if gamma[v] != want_gamma[v]:
             raise AssertionError(f"gamma row of vertex {v} out of date at iteration {it}")
-        if own[v] and low[v] != min(row):
+        if own[v] and low[v] != want_low[v]:
             raise AssertionError(f"row minimum of vertex {v} out of date at iteration {it}")
-        if own[v] and nlow[v] != row.count(low[v]):
+        if own[v] and nlow[v] != want_nlow[v]:
             raise AssertionError(f"row minimum count of vertex {v} out of date at iteration {it}")
-        if own[v] and v not in frozen and len(row) > 2:
-            expected[low[v] - own[v] + deg].append(v)
-    if recount // 2 != conflicts:
+    if recount != conflicts:
         raise AssertionError(
-            f"incremental conflict tally {conflicts} != recount {recount // 2} at iteration {it}"
+            f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
         )
-    for i, (bucket, want) in enumerate(zip(buckets, expected)):
+    deg = len(buckets) // 2
+    for i, (bucket, want) in enumerate(zip(buckets, want_buckets)):
         if bucket != want:
             raise AssertionError(f"bucket of key {i - deg} out of date at iteration {it}")
 
@@ -239,14 +255,14 @@ def _tabu_run(
     color_of: list[int],
     num_colors: int,
     masks: list[int],
-    frozen: frozenset[int],
+    fixed: list[list[int]] | None,
     rng: random.Random,
     config: SearchConfig,
 ) -> tuple[list[int], int, int]:
     """One tabu descent from color_of; returns (best_colors, best_conflicts, iters).
 
-    Each iteration moves one conflicted, non-frozen vertex to the color that
-    minimizes the resulting conflict count over non-tabu moves; a tabu move is
+    Each iteration moves one conflicted vertex to the color that minimizes
+    the resulting conflict count over non-tabu moves; a tabu move is
     admitted only if it would beat the best conflict count ever seen
     (aspiration).  Ties are broken uniformly at random from rng, which is the
     run's only source of randomness besides the initial assignment.  If every
@@ -254,21 +270,24 @@ def _tabu_run(
     the search always progresses.
 
     The neighbors of v are v ^ m for m in masks (hamming.ball_masks), XORed
-    afresh wherever they are needed; no per-vertex list is built.  A move
-    changes only the rows of the moved vertex and its neighbors.  The state:
+    afresh wherever they are needed; no per-vertex list is built.  fixed[v],
+    when given, counts by color v's neighbors that never move (a lift's
+    lower copy); deg, v's full degree, adds their number to len(masks).  A
+    move changes only the rows of the moved vertex and its neighbors.  The
+    state:
 
-    - gamma[v][c] counts v's neighbors of color c, except that slot 0 (no
-      vertex has color 0) and the own slot color_of[v] always hold a sentinel
-      above every count.  own[v] holds the own count instead, so
-      gamma[v][c] - own[v] is the delta of moving v to c, and the own slot is
-      rewritten only when v itself moves.
+    - gamma[v][c] counts v's neighbors of color c, starting from fixed[v],
+      except that slot 0 (no vertex has color 0) and the own slot
+      color_of[v] always hold a sentinel above every count.  own[v] holds
+      the own count instead, so gamma[v][c] - own[v] is the delta of moving
+      v to c, and the own slot is rewritten only when v itself moves.
     - low[v] = min(gamma[v]) and nlow[v], the number of slots holding it, are
       valid while own[v] > 0.  A neighbor move shifts two slots by one, so
       when the last minimum slot rises the minimum is one more; both are set
       afresh when own[v] rises from 0 and when v moves.
-    - With deg = len(masks), buckets[key + deg] holds, ascending, exactly the
-      non-frozen v with own[v] > 0 and key = low[v] - own[v], which lies in
-      -deg..deg - 2.  With K = 1 no vertex has a move, so none is filed.
+    - buckets[key + deg] holds, ascending, exactly the v with own[v] > 0 and
+      key = low[v] - own[v], which lies in -deg..deg - 2.  With K = 1 no
+      vertex has a move, so none is filed.
 
     key is v's best delta, so the best move has the least key, top, and the
     first non-empty bucket holds its vertices.  If top aspirates, or every
@@ -284,26 +303,12 @@ def _tabu_run(
     (vertex, color) order, the order a scan of every pair would list them in,
     so the move drawn is the same.
     """
-    size, deg = len(color_of), len(masks)
-    sentinel = 2 * size  # a masked slot's delta stays above every real delta (< size)
-    gamma = [[0] * (num_colors + 1) for _ in range(size)]
-    own, low, nlow = [0] * size, [0] * size, [0] * size
-    buckets: list[list[int]] = [[] for _ in range(2 * deg)]
-    for v, cv in enumerate(color_of):
-        gv = gamma[v]
-        for m in masks:
-            gv[color_of[v ^ m]] += 1
-        own[v] = gv[cv]
-        gv[0] = gv[cv] = sentinel
-        lo = low[v] = min(gv)
-        nlow[v] = gv.count(lo)
-        if own[v] and v not in frozen and num_colors > 1:
-            buckets[lo - own[v] + deg].append(v)
-    conflicts = sum(own) // 2
+    gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, masks, fixed)
+    deg, sentinel = len(buckets) // 2, gamma[0][0]  # slot 0 always holds the sentinel
 
     best_conflicts = conflicts
     best_colors = list(color_of)
-    tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
+    tabu_until = [[0] * (num_colors + 1) for _ in color_of]
     base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
 
     it = 0
@@ -311,7 +316,7 @@ def _tabu_run(
         it += 1
         i = next(compress(range(len(buckets)), buckets), None)
         if i is None:
-            break  # no movable vertex at all (e.g. K = 1 or everything frozen)
+            break  # no vertex has a move (K = 1)
         tops, top = buckets[i], i - deg
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
@@ -328,7 +333,7 @@ def _tabu_run(
                     tie_ns.append(n)
             best = top
             if not tie_vs:
-                best = size
+                best = deg - 1  # above every real delta, below every masked one
                 for key, bucket in enumerate(buckets[i:], top):
                     if key > best:
                         break
@@ -384,9 +389,8 @@ def _tabu_run(
                 g = gu[c]
                 gu[c] = g + 1
                 lo = low[u]
-                if u not in frozen:
-                    bucket = buckets[lo - o - 1 + deg]
-                    del bucket[bisect_left(bucket, u)]
+                bucket = buckets[lo - o - 1 + deg]
+                del bucket[bisect_left(bucket, u)]
                 if not o:
                     continue
                 if g == lo:
@@ -403,9 +407,8 @@ def _tabu_run(
                     lo = low[u] = min(gu)
                     nlow[u] = gu.count(lo)
                 else:
-                    if u not in frozen:
-                        bucket = buckets[lo - o + 1 + deg]
-                        del bucket[bisect_left(bucket, u)]
+                    bucket = buckets[lo - o + 1 + deg]
+                    del bucket[bisect_left(bucket, u)]
                     if g <= lo:
                         nlow[u] = 1 if g < lo else nlow[u] + 1
                         lo = low[u] = g
@@ -429,12 +432,10 @@ def _tabu_run(
                     continue
                 else:
                     low[u], nlow[u] = h + 1, gu.count(h + 1)
-                if u not in frozen:
-                    bucket = buckets[lo - o + deg]
-                    del bucket[bisect_left(bucket, u)]
+                bucket = buckets[lo - o + deg]
+                del bucket[bisect_left(bucket, u)]
                 lo = low[u]
-            if u not in frozen:  # every branch reaching here changed u's key
-                insort(buckets[lo - o + deg], u)
+            insort(buckets[lo - o + deg], u)  # every branch reaching here changed u's key
         gv[old] = own[v]
         own[v] = o = gv[c]
         gv[c] = sentinel
@@ -449,8 +450,39 @@ def _tabu_run(
             best_colors = list(color_of)
 
         if config.self_check and it % SELF_CHECK_PERIOD == 0:
-            _check_state(color_of, masks, frozen, gamma, own, low, nlow, buckets, conflicts, it)
+            _check_state(color_of, masks, fixed, gamma, own, low, nlow, buckets, conflicts, it)
     return best_colors, best_conflicts, it
+
+
+def _restarts(
+    size: int, num_colors: int, masks: list[int], fixed: list[list[int]] | None,
+    config: SearchConfig, first: list[int] | None,
+) -> SearchOutcome:
+    """The restart loop of tabu_search and of the lift, best being a color list.
+
+    Restart r starts from first (r = 0, when given) or from uniform random
+    colors drawn from random.Random(rng_seed + r), then runs _tabu_run on
+    that generator.  Stops early when a restart reaches zero conflicts.
+    """
+    best_colors: list[int] = []
+    best_conflicts = best_seed = -1
+    total_iters = 0
+
+    for r in range(config.restarts + 1):
+        seed_r = config.rng_seed + r
+        rng = random.Random(seed_r)
+        if first is not None and r == 0:
+            colors = list(first)
+        else:
+            colors = [rng.randrange(1, num_colors + 1) for _ in range(size)]
+        run_best, run_conflicts, iters = _tabu_run(colors, num_colors, masks, fixed, rng, config)
+        total_iters += iters
+        if r == 0 or run_conflicts < best_conflicts:
+            best_colors, best_conflicts, best_seed = run_best, run_conflicts, seed_r
+        if best_conflicts == 0:
+            break
+
+    return SearchOutcome(best_colors, best_conflicts, total_iters, r, best_seed)
 
 
 def tabu_search(
@@ -459,60 +491,27 @@ def tabu_search(
     """Fixed-K tabu search minimizing the number of conflicting pairs.
 
     Restart r starts from init (r = 0, when given) or from uniform random
-    colors drawn from random.Random(rng_seed + r); frozen vertices always keep
-    init's colors.  Stops early when a restart reaches zero conflicts.
-    Deterministic given (params, config, init).
+    colors drawn from random.Random(rng_seed + r).  Stops early when a
+    restart reaches zero conflicts.  Deterministic given (params, config,
+    init).
     """
     if params.num_colors is None:
         raise ValueError("tabu_search needs params.num_colors")
     config = config or SearchConfig()
     num_colors = params.num_colors
-    size = params.num_words
-    _check_memory("tabu search", (16 * num_colors + 256) * size)
+    _check_memory("tabu search", (16 * num_colors + 256) * params.num_words)
 
-    for v in config.frozen:
-        if not 0 <= v < size:
-            raise ValueError(f"frozen vertex {v} out of range")
     if init is not None:
         if init.params.n != params.n or init.params.k != params.k:
             raise ValueError("init assignment has different n or k")
         if any(c > num_colors for c in init.color_of):
             raise ValueError("init assignment uses colors above num_colors")
-    elif config.frozen:
-        raise ValueError("frozen vertices require an initial assignment")
 
-    masks = ball_masks(params.n, params.k)
-    best_colors: list[int] = []
-    best_conflicts = best_seed = -1
-    total_iters = 0
-
-    for r in range(config.restarts + 1):
-        seed_r = config.rng_seed + r
-        rng = random.Random(seed_r)
-        if init is not None and r == 0:
-            colors = list(init.color_of)
-        else:
-            colors = [
-                init.color_of[v] if init is not None and v in config.frozen
-                else rng.randrange(1, num_colors + 1)
-                for v in range(size)
-            ]
-        run_best, run_conflicts, iters = _tabu_run(
-            colors, num_colors, masks, config.frozen, rng, config
-        )
-        total_iters += iters
-        if r == 0 or run_conflicts < best_conflicts:
-            best_colors, best_conflicts, best_seed = run_best, run_conflicts, seed_r
-        if best_conflicts == 0:
-            break
-
-    return SearchOutcome(
-        best=Assignment(params, best_colors),
-        conflicts=best_conflicts,
-        iterations_used=total_iters,
-        restarts_used=r,
-        seed_used=best_seed,
+    out = _restarts(
+        params.num_words, num_colors, ball_masks(params.n, params.k), None, config,
+        None if init is None else init.color_of,
     )
+    return out._replace(best=Assignment(params, out.best))
 
 
 def extend_to_higher_dim(
@@ -528,7 +527,8 @@ def extend_to_higher_dim(
     blocks, so the result is always valid with 2 * K_base colors.
 
     "freeze-subcube" keeps the lower copy fixed at base's colors and runs the
-    tabu search over the 2^n new vertices with num_colors colors; the returned
+    tabu search with num_colors colors on the upper copy, a Q_n^k whose word
+    x sees the lower words x ^ m, |m| < k, as fixed neighbors.  The returned
     conflict count may be positive, there is no success guarantee.
     """
     if not verify_coloring(base).valid:
@@ -560,16 +560,15 @@ def extend_to_higher_dim(
         if num_colors < used:
             raise ValueError(f"base coloring uses {used} colors, target {num_colors} is smaller")
         params_out = Params(n + 1, k, num_colors)
+        _check_memory("tabu search", (16 * num_colors + 256) * params_out.num_words)
+        fixed = [[0] * (num_colors + 1) for _ in base_colors]
+        fixed_masks = [0, *ball_masks(n, k - 1)] if k else []
+        for x, row in enumerate(fixed):
+            for m in fixed_masks:
+                row[base_colors[x ^ m]] += 1
         rng = random.Random(config.rng_seed)
-        init = Assignment(
-            params_out, base_colors + [rng.randrange(1, num_colors + 1) for _ in base_colors]
-        )
-        frozen_config = SearchConfig(
-            rng_seed=config.rng_seed, max_iterations=config.max_iterations,
-            restarts=config.restarts, tabu_tenure_base=config.tabu_tenure_base,
-            tabu_tenure_slope=config.tabu_tenure_slope, self_check=config.self_check,
-            frozen=frozenset(range(len(base_colors))),
-        )
-        return tabu_search(params_out, frozen_config, init)
+        first = [rng.randrange(1, num_colors + 1) for _ in base_colors]
+        out = _restarts(len(base_colors), num_colors, ball_masks(n, k), fixed, config, first)
+        return out._replace(best=Assignment(params_out, base_colors + out.best))
 
     raise ValueError(f"unknown strategy {strategy!r}")

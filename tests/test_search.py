@@ -177,21 +177,6 @@ def test_tabu_init_validation():
         tabu_search(Params(3, 2, 3), None, Assignment(Params(3, 2, 3), [0] * 8))
     with pytest.raises(ValueError):
         tabu_search(Params(3, 2, 2), None, Assignment(Params(3, 2), [3] * 8))
-    with pytest.raises(ValueError):
-        tabu_search(Q3_PARAMS, SearchConfig(frozen=frozenset({0})))
-    with pytest.raises(ValueError):
-        tabu_search(Q3_PARAMS, SearchConfig(frozen=frozenset({99})), good)
-
-
-def test_tabu_frozen_vertices_keep_their_colors():
-    # Lower half fixed at a valid partial coloring, upper half deliberately
-    # conflicting; the search must repair 4..7 without touching 0..3.
-    init = Assignment(Q3_PARAMS, [1, 2, 3, 4, 1, 1, 1, 1])
-    frozen = frozenset(range(4))
-    config = SearchConfig(rng_seed=0, max_iterations=5_000, restarts=2, frozen=frozen)
-    out = tabu_search(Q3_PARAMS, config, init)
-    assert out.best.color_of[:4] == [1, 2, 3, 4]
-    assert out.conflicts == 0
 
 
 def test_tabu_self_check_mode_runs_clean():
@@ -228,10 +213,13 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
     [
         ("tabu search", lambda: tabu_search(Params(10, 2, 2), SearchConfig(max_iterations=1))),
         ("tabu search", lambda: tabu_search(Params(10, 2, 40), SearchConfig(max_iterations=1))),
+        ("tabu search", lambda: extend_to_higher_dim(
+            q8_square_13_coloring(), "freeze-subcube", 13, SearchConfig(max_iterations=1)
+        )),
         ("greedy coloring", lambda: greedy_color(Params(10, 2))),
         ("DSATUR", lambda: dsatur_color(Params(10, 2))),
     ],
-    ids=["tabu-k2", "tabu-k40", "greedy", "dsatur"],
+    ids=["tabu-k2", "tabu-k40", "freeze-q9", "greedy", "dsatur"],
 )
 def test_memory_estimate_bounds_the_measured_peak(monkeypatch, what, run):
     # Under a limit one byte below the peak tracemalloc measured, the size
@@ -446,9 +434,9 @@ def _record(out):
 
 @pytest.mark.parametrize("name", ["q9f13-fixture-s0", "q10k40-s0"])
 def test_golden_trajectory_under_self_check(monkeypatch, name):
-    # At frontier scale many key buckets are filled at once, and the lift has
-    # frozen vertices; recounting every 25 moves must find no stale entry and
-    # leave the moves unchanged.
+    # At frontier scale many key buckets are filled at once, and the lift's
+    # rows start from fixed counts; recounting every 25 moves must find no
+    # stale entry and leave the moves unchanged.
     monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 25)
     run, expected = GOLDEN_TRAJECTORIES[name]
     assert _record(run(self_check=True)) == expected
@@ -466,22 +454,14 @@ def test_tabu_kernel_matches_reference(seed):
     n = rng.randrange(3, 7)
     k = rng.randrange(1, 3)
     num = rng.randrange(1, 7)
-    size = 1 << n
-    colors = [rng.randrange(1, num + 1) for _ in range(size)]
-    frozen_share = rng.choice((0.0, 0.3, 0.9))
-    frozen = frozenset(v for v in range(size) if rng.random() < frozen_share)
-    knobs = dict(
-        max_iterations=rng.randrange(1, 400),
-        tabu_tenure_base=rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
-        tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
-        frozen=frozen,
-    )
+    colors = [rng.randrange(1, num + 1) for _ in range(1 << n)]
+    knobs = _random_knobs(rng)
     config = SearchConfig(**knobs)
     neighbors = oracles.naive_neighbors(n, k)
     run_seed = rng.randrange(10**9)
     fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
-    fast = _tabu_run(list(colors), num, ball_masks(n, k), frozen, fast_rng, config)
-    ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozen, ref_rng, config)
+    fast = _tabu_run(list(colors), num, ball_masks(n, k), None, fast_rng, config)
+    ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozenset(), ref_rng, config)
     assert fast == ref
     assert fast_rng.getstate() == ref_rng.getstate()
     # The same run recounting its whole state after every move: no entry goes
@@ -490,21 +470,88 @@ def test_tabu_kernel_matches_reference(seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "SELF_CHECK_PERIOD", 1)
         checked = _tabu_run(
-            list(colors), num, ball_masks(n, k), frozen, checked_rng,
+            list(colors), num, ball_masks(n, k), None, checked_rng,
             SearchConfig(**knobs, self_check=True),
         )
     assert checked == fast
     assert checked_rng.getstate() == fast_rng.getstate()
 
 
-def _kernel_state(n, k, num, colors, frozen):
+def _random_knobs(rng):
+    """Iteration budget and tenure; a base of 100 or more forces the fallback move."""
+    return dict(
+        max_iterations=rng.randrange(1, 400),
+        tabu_tenure_base=rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
+        tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
+    )
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
+    # The lift runs the kernel on the upper copy alone, the lower copy entering
+    # as fixed neighbor counts.  The reference runs on all of Q_{n+1}^k with the
+    # lower copy frozen, from the same colors and generator: the moves must be
+    # the same, with and without a recount after every move.  With n = k a
+    # word's degree can exceed the copy's word count.
+    rng = random.Random(seed)
+    n = rng.randrange(1, 6)
+    k = rng.randrange(0, n + 1)
+    order = list(range(1 << n))
+    rng.shuffle(order)
+    base = greedy_color(Params(n, k), order)
+    num = rng.randrange(len(base.classes), len(base.classes) + 3)
+    knobs = dict(_random_knobs(rng), rng_seed=rng.randrange(10**9))
+    draw = random.Random(knobs["rng_seed"])  # the lift's draw for restart 0
+    colors = assignment_from_coloring(base).color_of + [
+        draw.randrange(1, num + 1) for _ in order
+    ]
+    ref = oracles.reference_tabu_run(
+        colors, num, oracles.naive_neighbors(n + 1, k), frozenset(range(len(order))),
+        random.Random(knobs["rng_seed"]), SearchConfig(**knobs),
+    )
+    out = extend_to_higher_dim(base, "freeze-subcube", num, SearchConfig(**knobs))
+    assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
+    assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SELF_CHECK_PERIOD", 1)
+        checked = extend_to_higher_dim(
+            base, "freeze-subcube", num, SearchConfig(**knobs, self_check=True)
+        )
+    assert _record(checked) == _record(out)
+
+
+def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):
+    # A word x of the upper copy of Q_9^2 has 9 lower neighbors: its twin and
+    # the twin's 8 neighbors at distance 1.  They form a clique of Q_8^2, so
+    # the fixture gives them 9 distinct colors and leaves 4 of 13 free.
+    seen = []
+
+    def spy(color_of, num_colors, masks, fixed, rng, config):
+        seen.append(fixed)
+        return real(color_of, num_colors, masks, fixed, rng, config)
+
+    real = search._tabu_run
+    monkeypatch.setattr(search, "_tabu_run", spy)
+    base = q8_square_13_coloring()
+    extend_to_higher_dim(base, "freeze-subcube", 13, SearchConfig(max_iterations=1))
+    (fixed,) = seen
+    base_colors = assignment_from_coloring(base).color_of
+    for x, row in enumerate(fixed):
+        lower = [base_colors[y] for y in range(256) if oracles.naive_distance(256 + x, y) <= 2]
+        assert row == [lower.count(c) for c in range(14)]
+        assert sorted(row) == [0] * 5 + [1] * 9  # slot 0 and 4 allowed colors hold 0
+
+
+def _kernel_state(n, k, num, colors, fixed):
     """The tabu kernel's incremental state for colors, built from scratch."""
     neighbors = oracles.naive_neighbors(n, k)
-    sentinel, deg = 2 * len(colors), len(neighbors[0])
+    deg = len(neighbors[0]) + sum(fixed[0])
+    sentinel = 2 * deg
     gamma, own, low, nlow = [], [], [], []
     buckets = [[] for _ in range(2 * deg)]
     for v, cv in enumerate(colors):
-        row = [0] * (num + 1)
+        row = list(fixed[v])
         for u in neighbors[v]:
             row[colors[u]] += 1
         own.append(row[cv])
@@ -512,28 +559,35 @@ def _kernel_state(n, k, num, colors, frozen):
         gamma.append(row)
         low.append(min(row))
         nlow.append(row.count(min(row)))
-        if own[v] and v not in frozen:
+        if own[v]:
             buckets[low[v] - own[v] + deg].append(v)
-    return gamma, own, low, nlow, buckets, sum(own) // 2
+    fixed_pairs = sum(fixed[v][cv] for v, cv in enumerate(colors))
+    return gamma, own, low, nlow, buckets, (sum(own) + fixed_pairs) // 2
 
 
 def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     # A correct state passes; one minimum count off by one, or one vertex
     # filed under the next key, must raise naming the vertex or the bucket.
+    # The state is a lift's: the rows start from fixed counts of a lower copy.
     n, k, num = 4, 2, 4
     rng = random.Random(3)
     colors = [rng.randrange(1, num + 1) for _ in range(16)]
-    frozen = frozenset({0, 1})
-    gamma, own, low, nlow, buckets, conflicts = _kernel_state(n, k, num, colors, frozen)
-    deg = len(ball_masks(n, k))
+    lower = [rng.randrange(1, num + 1) for _ in range(16)]
+    fixed = [
+        [sum(lower[y] == c for y in range(16) if oracles.naive_distance(16 + x, y) <= k)
+         for c in range(num + 1)]
+        for x in range(16)
+    ]
+    gamma, own, low, nlow, buckets, conflicts = _kernel_state(n, k, num, colors, fixed)
+    deg = len(buckets) // 2
 
     def check():
         search._check_state(
-            colors, ball_masks(n, k), frozen, gamma, own, low, nlow, buckets, conflicts, 7
+            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, conflicts, 7
         )
 
     check()  # the state as built is correct
-    v = next(v for v in range(16) if own[v] and v not in frozen)
+    v = next(v for v in range(16) if own[v])
     nlow[v] += 1
     with pytest.raises(
         AssertionError, match=f"^row minimum count of vertex {v} out of date at iteration 7$"
@@ -546,3 +600,13 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     buckets[key + 1 + deg].sort()
     with pytest.raises(AssertionError, match=f"^bucket of key {key} out of date at iteration 7$"):
         check()
+    buckets[key + 1 + deg].remove(v)
+    buckets[key + deg].append(v)
+    buckets[key + deg].sort()
+    check()
+    with pytest.raises(
+        AssertionError, match=f"^incremental conflict tally {conflicts - 1} != recount {conflicts}"
+    ):
+        search._check_state(
+            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, conflicts - 1, 7
+        )

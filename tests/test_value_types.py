@@ -83,7 +83,7 @@ FROZEN_TYPES = [
         lambda: KnownValueTable({}), "entries", None, None, id="KnownValueTable",
     ),
     pytest.param(
-        lambda: SearchConfig(rng_seed=3, frozen=frozenset({1})), lambda: SearchConfig(),
+        lambda: SearchConfig(rng_seed=3, self_check=True), lambda: SearchConfig(),
         "rng_seed", lambda: SearchConfig(max_iterations=0), "max_iterations must be positive",
         id="SearchConfig",
     ),
