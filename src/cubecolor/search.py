@@ -13,7 +13,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
-from itertools import accumulate, compress
+from itertools import accumulate
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .frozen import Frozen
@@ -24,8 +24,9 @@ from .hamming import Params, ball_masks, ball_size
 UNASSIGNED = 0
 
 #: Iterations between recounts, in self-check mode, of the tabu kernel's
-#: incremental state: the conflict tally, the key buckets, and every vertex's
-#: neighbor color counts, own count, row minimum and its multiplicity.
+#: incremental state: the conflict tally, the key buckets and their cursor,
+#: every vertex's own count and latest tabu expiry, and every conflicted
+#: vertex's neighbor color counts, row minimum and its multiplicity.
 SELF_CHECK_PERIOD = 10_000
 
 STRATEGY_DOUBLE = "double"
@@ -34,9 +35,11 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
-#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 262, 550
-#: and 868 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR, whose heap keeps
-#: an entry per colored neighbor, 100 B per mask (n = 13..16, k = 2).
+#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 270, 558
+#: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 104 B per mask,
+#: set when its heap kept an entry per colored neighbor (100 B at n = 13..16,
+#: k = 2), against 31-62 B now that it keeps one per saturation rise (n = 8..13,
+#: k = 1..5).
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -170,8 +173,13 @@ def dsatur_color(params: Params) -> Coloring:
 
     Ties break by the larger number of uncolored neighbors, then by the
     smaller vertex value, making the run fully deterministic.  A heap keyed
-    (-saturation, -uncolored_degree, v) gives that order; each key change
-    pushes a fresh entry and leaves the old one stale.
+    (-saturation, -uncolored_degree, v) gives that order.  An entry is pushed
+    only when a saturation rises, so the degree in an entry may be stale, but
+    never below the true one: an entry of current saturation whose degree is
+    stale goes back with its current key, and one of stale saturation is
+    dropped.  A vertex's entry of current saturation therefore never sorts
+    after its true key, and the first one popped with a true key is the
+    vertex DSATUR colors next.
     """
     size = params.num_words
     _check_memory("DSATUR", 104 * ball_size(params.n, params.k) * size)
@@ -182,10 +190,13 @@ def dsatur_color(params: Params) -> Coloring:
     heap = [(0, -len(masks), v) for v in range(size)]  # already a heap: v ascends
 
     while heap:
-        _, neg_degree, v = heapq.heappop(heap)
-        if neg_degree != -uncolored_degree[v]:
-            continue  # stale: every key change lowers the degree
+        neg_sat, neg_degree, v = heapq.heappop(heap)
         used = saturation[v]
+        if neg_sat != -len(used):
+            continue  # v's saturation rose since; a colored v keeps only such entries
+        if neg_degree != -uncolored_degree[v]:
+            heapq.heappush(heap, (neg_sat, -uncolored_degree[v], v))
+            continue
         c = 1
         while c in used:
             c += 1
@@ -193,9 +204,11 @@ def dsatur_color(params: Params) -> Coloring:
         for m in masks:
             u = v ^ m
             if color_of[u] == UNASSIGNED:
-                saturation[u].add(c)
                 uncolored_degree[u] -= 1
-                heapq.heappush(heap, (-len(saturation[u]), -uncolored_degree[u], u))
+                seen = saturation[u]
+                if c not in seen:
+                    seen.add(c)
+                    heapq.heappush(heap, (-len(seen), -uncolored_degree[u], u))
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 
@@ -226,21 +239,28 @@ def _fresh_state(
 def _check_state(
     color_of: list[int], masks: list[int], fixed: list[list[int]] | None,
     gamma: list[list[int]], own: list[int], low: list[int], nlow: list[int],
-    buckets: list[list[int]], conflicts: int, it: int,
+    buckets: list[list[int]], first: int, tabu_until: list[list[int]], tmax: list[int],
+    conflicts: int, it: int,
 ) -> None:
-    """Recount _tabu_run's incremental state from color_of; AssertionError names it."""
+    """Recount _tabu_run's incremental state from color_of; AssertionError names it.
+
+    Rows, row minima and their counts are compared only where own[v] > 0:
+    the kernel lets the rest go stale.
+    """
     want_gamma, want_own, want_low, want_nlow, want_buckets, recount = _fresh_state(
         color_of, len(gamma[0]) - 1, masks, fixed
     )
     for v in range(len(color_of)):
         if own[v] != want_own[v]:
             raise AssertionError(f"own count of vertex {v} out of date at iteration {it}")
-        if gamma[v] != want_gamma[v]:
+        if own[v] and gamma[v] != want_gamma[v]:
             raise AssertionError(f"gamma row of vertex {v} out of date at iteration {it}")
         if own[v] and low[v] != want_low[v]:
             raise AssertionError(f"row minimum of vertex {v} out of date at iteration {it}")
         if own[v] and nlow[v] != want_nlow[v]:
             raise AssertionError(f"row minimum count of vertex {v} out of date at iteration {it}")
+        if tmax[v] < max(tabu_until[v]):
+            raise AssertionError(f"latest tabu expiry of vertex {v} out of date at iteration {it}")
     if recount != conflicts:
         raise AssertionError(
             f"incremental conflict tally {conflicts} != recount {recount} at iteration {it}"
@@ -249,6 +269,10 @@ def _check_state(
     for i, (bucket, want) in enumerate(zip(buckets, want_buckets)):
         if bucket != want:
             raise AssertionError(f"bucket of key {i - deg} out of date at iteration {it}")
+        if bucket and i < first:
+            raise AssertionError(
+                f"bucket cursor at key {first - deg} above a filled key {i - deg} at iteration {it}"
+            )
 
 
 def _tabu_run(
@@ -273,21 +297,28 @@ def _tabu_run(
     afresh wherever they are needed; no per-vertex list is built.  fixed[v],
     when given, counts by color v's neighbors that never move (a lift's
     lower copy); deg, v's full degree, adds their number to len(masks).  A
-    move changes only the rows of the moved vertex and its neighbors.  The
-    state:
+    move changes only the rows of the moved vertex and its conflicted
+    neighbors.  The state:
 
+    - own[v] counts v's neighbors of its own color, for every v.
     - gamma[v][c] counts v's neighbors of color c, starting from fixed[v],
       except that slot 0 (no vertex has color 0) and the own slot
-      color_of[v] always hold a sentinel above every count.  own[v] holds
-      the own count instead, so gamma[v][c] - own[v] is the delta of moving
-      v to c, and the own slot is rewritten only when v itself moves.
+      color_of[v] always hold a sentinel above every count; gamma[v][c] -
+      own[v] is the delta of moving v to c.  The row is exact only while
+      own[v] > 0: a neighbor of an unconflicted vertex moves without
+      touching its row, which is counted afresh when own[v] rises from 0.
+      The own slot is rewritten only when v itself moves.
     - low[v] = min(gamma[v]) and nlow[v], the number of slots holding it, are
       valid while own[v] > 0.  A neighbor move shifts two slots by one, so
       when the last minimum slot rises the minimum is one more; both are set
       afresh when own[v] rises from 0 and when v moves.
     - buckets[key + deg] holds, ascending, exactly the v with own[v] > 0 and
       key = low[v] - own[v], which lies in -deg..deg - 2.  With K = 1 no
-      vertex has a move, so none is filed.
+      vertex has a move, so none is filed.  No bucket below buckets[first]
+      holds a vertex: first falls with every filing and rises to the first
+      filled bucket when a move is picked.
+    - tmax[v] is the latest expiry in tabu_until[v], so a v with
+      tmax[v] < it has no tabu color.
 
     key is v's best delta, so the best move has the least key, top, and the
     first non-empty bucket holds its vertices.  If top aspirates, or every
@@ -297,31 +328,41 @@ def _tabu_run(
     best delta so far (later rows cannot reach it) and each row is scanned
     in full.
 
-    Ties are counted, not listed: rng.choice(range(total)) draws the same
-    index as rng.choice over a list of total ties and leaves rng in the same
-    state.  The index is mapped back over the candidates in ascending
+    Ties are counted, not listed: the draw below total runs the getrandbits
+    rejection loop of rng.choice(range(total)), so it takes the index
+    rng.choice over a list of total ties would take and leaves rng in the
+    same state.  The index is mapped back over the candidates in ascending
     (vertex, color) order, the order a scan of every pair would list them in,
     so the move drawn is the same.
     """
     gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, masks, fixed)
     deg, sentinel = len(buckets) // 2, gamma[0][0]  # slot 0 always holds the sentinel
+    nb, first = len(buckets), 0
+    zero = [0] * (num_colors + 1)
 
     best_conflicts = conflicts
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
+    tmax = [0] * len(color_of)
     base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
+    getrandbits = rng.getrandbits
 
     it = 0
     while it < config.max_iterations and conflicts > 0:
         it += 1
-        i = next(compress(range(len(buckets)), buckets), None)
-        if i is None:
+        while first < nb and not buckets[first]:
+            first += 1
+        if first == nb:
             break  # no vertex has a move (K = 1)
-        tops, top = buckets[i], i - deg
+        tops, top = buckets[first], first - deg
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
             tie_vs, tie_ns = [], []
             for v in tops:
+                if tmax[v] < it:  # no tabu color: every minimum counts
+                    tie_vs.append(v)
+                    tie_ns.append(nlow[v])
+                    continue
                 gv, lo, tv = gamma[v], low[v], tabu_until[v]
                 c = gv.index(lo)
                 n = tv[c] < it
@@ -334,7 +375,7 @@ def _tabu_run(
             best = top
             if not tie_vs:
                 best = deg - 1  # above every real delta, below every masked one
-                for key, bucket in enumerate(buckets[i:], top):
+                for key, bucket in enumerate(buckets[first:], top):
                     if key > best:
                         break
                     for v in bucket:
@@ -362,7 +403,13 @@ def _tabu_run(
             tie_vs = tops
             tie_ns = list(map(nlow.__getitem__, tops))
         ends = list(accumulate(tie_ns))
-        r = 0 if ends[-1] == 1 else rng.choice(range(ends[-1]))
+        total = ends[-1]
+        r = 0
+        if total > 1:  # rng.choice(range(total)), inlined
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
         i = bisect_right(ends, r)
         v = tie_vs[i]
         if i:
@@ -378,13 +425,15 @@ def _tabu_run(
         bucket = buckets[low[v] - own[v] + deg]
         del bucket[bisect_left(bucket, v)]
         old = color_of[v]
-        tv[old] = it + int(base + slope * conflicts)
+        t = tv[old] = it + int(base + slope * conflicts)
+        if t > tmax[v]:
+            tmax[v] = t
         color_of[v] = c
         for m in masks:
             u = v ^ m
-            gu = gamma[u]
             cu = color_of[u]
-            if cu == old:
+            if cu == old:  # v was a neighbor of u's color, so own[u] > 0
+                gu = gamma[u]
                 o = own[u] = own[u] - 1
                 g = gu[c]
                 gu[c] = g + 1
@@ -400,25 +449,31 @@ def _tabu_run(
                         lo = low[u] = g + 1
                         nlow[u] = gu.count(lo)
             elif cu == c:
-                g = gu[old] = gu[old] - 1
+                gu = gamma[u]
                 o = own[u] = own[u] + 1
-                lo = low[u]
-                if o == 1:
+                if o == 1:  # the row went stale while u was unconflicted
+                    gu[:] = fixed[u] if fixed else zero
+                    for w in masks:
+                        gu[color_of[u ^ w]] += 1
+                    gu[0] = gu[c] = sentinel
                     lo = low[u] = min(gu)
                     nlow[u] = gu.count(lo)
                 else:
+                    g = gu[old] = gu[old] - 1
+                    lo = low[u]
                     bucket = buckets[lo - o + 1 + deg]
                     del bucket[bisect_left(bucket, u)]
                     if g <= lo:
                         nlow[u] = 1 if g < lo else nlow[u] + 1
                         lo = low[u] = g
             else:
+                o = own[u]
+                if not o:
+                    continue  # u's row is not read until own[u] rises
+                gu = gamma[u]
                 g = gu[old] = gu[old] - 1
                 h = gu[c]
                 gu[c] = h + 1
-                o = own[u]
-                if not o:
-                    continue
                 lo = low[u]
                 if g == lo:
                     nlow[u] += h != lo  # slot old joins the minimum, unless slot c just left it
@@ -435,14 +490,20 @@ def _tabu_run(
                 bucket = buckets[lo - o + deg]
                 del bucket[bisect_left(bucket, u)]
                 lo = low[u]
-            insort(buckets[lo - o + deg], u)  # every branch reaching here changed u's key
+            i = lo - o + deg  # every branch reaching here changed u's key
+            insort(buckets[i], u)
+            if i < first:
+                first = i
         gv[old] = own[v]
         own[v] = o = gv[c]
         gv[c] = sentinel
         if o:
             lo = low[v] = min(gv)
             nlow[v] = gv.count(lo)
-            insort(buckets[lo - o + deg], v)
+            i = lo - o + deg
+            insort(buckets[i], v)
+            if i < first:
+                first = i
         conflicts += best
 
         if conflicts < best_conflicts:
@@ -450,7 +511,10 @@ def _tabu_run(
             best_colors = list(color_of)
 
         if config.self_check and it % SELF_CHECK_PERIOD == 0:
-            _check_state(color_of, masks, fixed, gamma, own, low, nlow, buckets, conflicts, it)
+            _check_state(
+                color_of, masks, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
+                conflicts, it,
+            )
     return best_colors, best_conflicts, it
 
 

@@ -247,6 +247,23 @@ def test_counted_tie_draw_is_the_list_draw(seed):
         assert counted.getstate() == listed.getstate()
 
 
+@pytest.mark.parametrize("totals", [range(2, 40), [255, 256, 257, 1000, 4095, 4097, 2**20 + 1]])
+def test_rejection_draw_is_choice_over_a_range(totals):
+    # The tabu kernel draws its tie index below total with the getrandbits
+    # rejection loop written out here, which is what rng.choice(range(total))
+    # runs.  Should CPython ever change choice, this fails instead of the
+    # kernel silently drawing other moves than the reference.
+    for seed in range(200):
+        drawn, chosen = random.Random(seed), random.Random(seed)
+        for total in totals:
+            bits = total.bit_length()
+            r = drawn.getrandbits(bits)
+            while r >= total:
+                r = drawn.getrandbits(bits)
+            assert r == chosen.choice(range(total))
+            assert drawn.getstate() == chosen.getstate()
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=0)
@@ -345,12 +362,14 @@ def test_extend_double_always_valid_on_random_bases(seed):
 
 # Golden trajectories: (conflicts, iterations_used, restarts_used, seed_used,
 # sha256 of the saved best coloring).  A kernel change that alters which
-# coloring a seed reaches, or how fast, fails here.  The first four match
-# perfbench/pins.json.  The K = 13 lift never solves; in 23 of its 750
+# coloring a seed reaches, or how fast, fails here.  q8k14-s3000,
+# q9-freeze16-s5, q9f13-fixture-s0 and q10k40-s0 match perfbench/pins.json.
+# The K = 13 lift never solves; in 23 of its 750
 # iterations every minimum color of the rows of least key is tabu and none
 # aspirates, so rows are scanned in full.  The K = 14 lift runs all four
 # restarts, so restarts 1..3 draw the free half's colors afresh; restart 1
-# (seed 8) ends best.  The last two spend most iterations
+# (seed 8) ends best.  The K = 15 lift is the run README cites as the
+# tool's best on Q_9^2.  The last two spend most iterations
 # in the forced fallback move (every move tabu, none aspirating): 1968 and 815
 # of 2000.
 GOLDEN_TRAJECTORIES = {
@@ -391,6 +410,15 @@ GOLDEN_TRAJECTORIES = {
             ),
         ),
         [7, 8000, 3, 8, "50e17aea1f38c269a92438c0b01a1f98b8aa01e9756447964a7958bfa84b5bf4"],
+    ),
+    "q9-freeze15-s0": (
+        lambda self_check=False: extend_to_higher_dim(
+            q8_square_13_coloring(),
+            "freeze-subcube",
+            num_colors=15,
+            config=SearchConfig(rng_seed=0, max_iterations=2_000, self_check=self_check),
+        ),
+        [0, 1574, 0, 0, "5c31b43bb84cf56a6f47aba20f585bd0a48bfec9dd8f7614ae3edee100d4c632"],
     ),
     "q10k40-s0": (
         lambda self_check=False: tabu_search(
@@ -566,11 +594,14 @@ def _kernel_state(n, k, num, colors, fixed):
 
 
 def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
-    # A correct state passes; one minimum count off by one, or one vertex
-    # filed under the next key, must raise naming the vertex or the bucket.
-    # The state is a lift's: the rows start from fixed counts of a lower copy.
+    # A correct state passes; one minimum count off by one, one vertex filed
+    # under the next key, one stale row of a conflicted vertex, a bucket
+    # cursor above a filled bucket, or a latest tabu expiry below a live tabu
+    # entry must raise naming it.  Rows of unconflicted vertices may go
+    # stale.  The state is a lift's: the rows start from fixed counts of a
+    # lower copy.
     n, k, num = 4, 2, 4
-    rng = random.Random(3)
+    rng = random.Random(4)  # leaves one vertex unconflicted
     colors = [rng.randrange(1, num + 1) for _ in range(16)]
     lower = [rng.randrange(1, num + 1) for _ in range(16)]
     fixed = [
@@ -580,10 +611,15 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     ]
     gamma, own, low, nlow, buckets, conflicts = _kernel_state(n, k, num, colors, fixed)
     deg = len(buckets) // 2
+    first = next(i for i, bucket in enumerate(buckets) if bucket)
+    tabu_until = [[0] * (num + 1) for _ in colors]
+    tmax = [0] * 16
+    state = dict(first=first)
 
-    def check():
+    def check(tally=conflicts):
         search._check_state(
-            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, conflicts, 7
+            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, state["first"],
+            tabu_until, tmax, tally, 7,
         )
 
     check()  # the state as built is correct
@@ -604,9 +640,38 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     buckets[key + deg].append(v)
     buckets[key + deg].sort()
     check()
+
+    c = next(c for c in range(1, num + 1) if c != colors[v])
+    gamma[v][c] += 1
+    with pytest.raises(AssertionError, match=f"^gamma row of vertex {v} out of date at iteration 7$"):
+        check()
+    gamma[v][c] -= 1
+    u = next(u for u in range(16) if not own[u])
+    gamma[u][c] += 5
+    check()  # an unconflicted vertex's row is never read
+
+    state["first"] = 0
+    check()  # a cursor below every filled bucket is walked up before use
+    state["first"] = first + 1
+    with pytest.raises(
+        AssertionError,
+        match=f"^bucket cursor at key {first + 1 - deg} above a filled key {first - deg}"
+        " at iteration 7$",
+    ):
+        check()
+    state["first"] = first
+
+    tabu_until[v][c] = 9
+    tmax[v] = 9
+    check()
+    tmax[v] = 8  # v would count c among its free minimum colors at iteration 8
+    with pytest.raises(
+        AssertionError, match=f"^latest tabu expiry of vertex {v} out of date at iteration 7$"
+    ):
+        check()
+    tmax[v] = 9
+
     with pytest.raises(
         AssertionError, match=f"^incremental conflict tally {conflicts - 1} != recount {conflicts}"
     ):
-        search._check_state(
-            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, conflicts - 1, 7
-        )
+        check(conflicts - 1)
