@@ -202,8 +202,9 @@ def test_tabu_self_check_mode_runs_clean():
 )
 def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
     # Recounting after every move checks the conflict tally, the key buckets
-    # and each vertex's gamma row, own count, row minimum and its count; a
-    # stale entry raises AssertionError naming the iteration.
+    # and their cursor, each vertex's own count and latest tabu expiry, and
+    # each conflicted vertex's gamma row, row minimum and its count; a stale
+    # entry raises AssertionError naming the iteration.
     monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 1)
     assert run().iterations_used > 0
 
@@ -614,11 +615,10 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     first = next(i for i, bucket in enumerate(buckets) if bucket)
     tabu_until = [[0] * (num + 1) for _ in colors]
     tmax = [0] * 16
-    state = dict(first=first)
 
-    def check(tally=conflicts):
+    def check(cursor=first, tally=conflicts):
         search._check_state(
-            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, state["first"],
+            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, cursor,
             tabu_until, tmax, tally, 7,
         )
 
@@ -643,23 +643,22 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
 
     c = next(c for c in range(1, num + 1) if c != colors[v])
     gamma[v][c] += 1
-    with pytest.raises(AssertionError, match=f"^gamma row of vertex {v} out of date at iteration 7$"):
+    with pytest.raises(
+        AssertionError, match=f"^gamma row of vertex {v} out of date at iteration 7$"
+    ):
         check()
     gamma[v][c] -= 1
     u = next(u for u in range(16) if not own[u])
     gamma[u][c] += 5
     check()  # an unconflicted vertex's row is never read
 
-    state["first"] = 0
-    check()  # a cursor below every filled bucket is walked up before use
-    state["first"] = first + 1
+    check(cursor=0)  # a cursor below every filled bucket is walked up before use
     with pytest.raises(
         AssertionError,
         match=f"^bucket cursor at key {first + 1 - deg} above a filled key {first - deg}"
         " at iteration 7$",
     ):
-        check()
-    state["first"] = first
+        check(cursor=first + 1)
 
     tabu_until[v][c] = 9
     tmax[v] = 9
@@ -674,4 +673,4 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     with pytest.raises(
         AssertionError, match=f"^incremental conflict tally {conflicts - 1} != recount {conflicts}"
     ):
-        check(conflicts - 1)
+        check(tally=conflicts - 1)
