@@ -13,6 +13,7 @@ them against an oracle.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
@@ -79,7 +80,13 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     Q_n^k, to colors 1, 2, ...
     """
     comments, num_vars, _, clauses = coloring_cnf_stream(params, options)
-    return CnfFormula(num_vars, clauses, comments)
+    enabled = gc.isenabled()
+    gc.disable()  # the clause tuples form no cycles, but their number keeps triggering collections
+    try:
+        return CnfFormula(num_vars, clauses, comments)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def coloring_cnf_stream(

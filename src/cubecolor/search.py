@@ -298,7 +298,10 @@ def _tabu_run(
     when given, counts by color v's neighbors that never move (a lift's
     lower copy); deg, v's full degree, adds their number to len(masks).  A
     move changes only the rows of the moved vertex and its conflicted
-    neighbors.  The state:
+    neighbors, so each neighbor u is dispatched on own[u] first: a conflicted
+    u has its row, own count and key updated for its color being old, c or
+    neither; an unconflicted u of color c has its row recounted; any other u
+    costs one own read and one color read.  The state:
 
     - own[v] counts v's neighbors of its own color, for every v.
     - gamma[v][c] counts v's neighbors of color c, starting from fixed[v],
@@ -311,7 +314,11 @@ def _tabu_run(
     - low[v] = min(gamma[v]) and nlow[v], the number of slots holding it, are
       valid while own[v] > 0.  A neighbor move shifts two slots by one, so
       when the last minimum slot rises the minimum is one more; both are set
-      afresh when own[v] rises from 0 and when v moves.
+      afresh when own[v] rises from 0.  When v moves from old to c, slot c
+      (value o, the new own count) leaves the row and slot old (value p, the
+      old own count) joins it; with kept = nlow[v] - (o == low[v]), p below
+      the minimum gives (p, 1), p equal to it kept + 1, and p above it keeps
+      the minimum unless kept is 0, the one case that scans the row.
     - buckets[key + deg] holds, ascending, exactly the v with own[v] > 0 and
       key = low[v] - own[v], which lies in -deg..deg - 2.  With K = 1 no
       vertex has a move, so none is filed.  No bucket below buckets[first]
@@ -328,12 +335,16 @@ def _tabu_run(
     best delta so far (later rows cannot reach it) and each row is scanned
     in full.
 
-    Ties are counted, not listed: the draw below total runs the getrandbits
+    Ties are counted, not listed: ends holds the running total of the
+    candidate vertices' tie counts, appended while the first bucket is
+    scanned (the walk accumulates its counts after sorting its vertices), and
+    total is its last entry.  The draw below total runs the getrandbits
     rejection loop of rng.choice(range(total)), so it takes the index
     rng.choice over a list of total ties would take and leaves rng in the
     same state.  The index is mapped back over the candidates in ascending
     (vertex, color) order, the order a scan of every pair would list them in,
-    so the move drawn is the same.
+    so the move drawn is the same; bisect_right on ends finds the vertex
+    when there is more than one.
     """
     gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, masks, fixed)
     deg, sentinel = len(buckets) // 2, gamma[0][0]  # slot 0 always holds the sentinel
@@ -345,10 +356,11 @@ def _tabu_run(
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
     tmax = [0] * len(color_of)
     base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
+    max_iterations, self_check = config.max_iterations, config.self_check
     getrandbits = rng.getrandbits
 
     it = 0
-    while it < config.max_iterations and conflicts > 0:
+    while it < max_iterations and conflicts > 0:
         it += 1
         while first < nb and not buckets[first]:
             first += 1
@@ -357,23 +369,28 @@ def _tabu_run(
         tops, top = buckets[first], first - deg
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
-            tie_vs, tie_ns = [], []
+            tie_vs, ends, total = [], [], 0
             for v in tops:
                 if tmax[v] < it:  # no tabu color: every minimum counts
+                    total += nlow[v]
                     tie_vs.append(v)
-                    tie_ns.append(nlow[v])
+                    ends.append(total)
                     continue
                 gv, lo, tv = gamma[v], low[v], tabu_until[v]
                 c = gv.index(lo)
                 n = tv[c] < it
-                for _ in range(nlow[v] - 1):
+                rest = nlow[v] - 1
+                while rest:
                     c = gv.index(lo, c + 1)
                     n += tv[c] < it
+                    rest -= 1
                 if n:
+                    total += n
                     tie_vs.append(v)
-                    tie_ns.append(n)
+                    ends.append(total)
             best = top
             if not tie_vs:
+                tie_ns = []
                 best = deg - 1  # above every real delta, below every masked one
                 for key, bucket in enumerate(buckets[first:], top):
                     if key > best:
@@ -397,12 +414,12 @@ def _tabu_run(
                                 tie_ns.append(n)
                 if len(tie_vs) > 1:
                     tie_vs, tie_ns = zip(*sorted(zip(tie_vs, tie_ns)))
+                ends = list(accumulate(tie_ns))
                 any_color = not tie_vs  # forced fallback
         if any_color:
             best = top
             tie_vs = tops
-            tie_ns = list(map(nlow.__getitem__, tops))
-        ends = list(accumulate(tie_ns))
+            ends = list(accumulate(map(nlow.__getitem__, tops)))
         total = ends[-1]
         r = 0
         if total > 1:  # rng.choice(range(total)), inlined
@@ -410,19 +427,19 @@ def _tabu_run(
             r = getrandbits(bits)
             while r >= total:
                 r = getrandbits(bits)
-        i = bisect_right(ends, r)
+        i = bisect_right(ends, r) if len(ends) > 1 else 0
         v = tie_vs[i]
         if i:
             r -= ends[i - 1]
-        gv, tv = gamma[v], tabu_until[v]
-        target = best + own[v]
+        gv, tv, p = gamma[v], tabu_until[v], own[v]
+        target = best + p
         c = -1
         for _ in range(r + 1):
             c = gv.index(target, c + 1)
             while not (any_color or tv[c] < it):
                 c = gv.index(target, c + 1)
 
-        bucket = buckets[low[v] - own[v] + deg]
+        bucket = buckets[low[v] - p + deg]
         del bucket[bisect_left(bucket, v)]
         old = color_of[v]
         t = tv[old] = it + int(base + slope * conflicts)
@@ -431,34 +448,26 @@ def _tabu_run(
         color_of[v] = c
         for m in masks:
             u = v ^ m
-            cu = color_of[u]
-            if cu == old:  # v was a neighbor of u's color, so own[u] > 0
-                gu = gamma[u]
-                o = own[u] = own[u] - 1
-                g = gu[c]
-                gu[c] = g + 1
-                lo = low[u]
-                bucket = buckets[lo - o - 1 + deg]
-                del bucket[bisect_left(bucket, u)]
-                if not o:
-                    continue
-                if g == lo:
-                    if nlow[u] > 1:
-                        nlow[u] -= 1
-                    else:
-                        lo = low[u] = g + 1
-                        nlow[u] = gu.count(lo)
-            elif cu == c:
-                gu = gamma[u]
-                o = own[u] = own[u] + 1
-                if o == 1:  # the row went stale while u was unconflicted
-                    gu[:] = fixed[u] if fixed else zero
-                    for w in masks:
-                        gu[color_of[u ^ w]] += 1
-                    gu[0] = gu[c] = sentinel
-                    lo = low[u] = min(gu)
-                    nlow[u] = gu.count(lo)
-                else:
+            o = own[u]
+            if o:
+                gu, cu = gamma[u], color_of[u]
+                if cu == old:  # v was a neighbor of u's color
+                    o = own[u] = o - 1
+                    g = gu[c]
+                    gu[c] = g + 1
+                    lo = low[u]
+                    bucket = buckets[lo - o - 1 + deg]
+                    del bucket[bisect_left(bucket, u)]
+                    if not o:
+                        continue
+                    if g == lo:
+                        if nlow[u] > 1:
+                            nlow[u] -= 1
+                        else:
+                            lo = low[u] = g + 1
+                            nlow[u] = gu.count(lo)
+                elif cu == c:
+                    o = own[u] = o + 1
                     g = gu[old] = gu[old] - 1
                     lo = low[u]
                     bucket = buckets[lo - o + 1 + deg]
@@ -466,40 +475,57 @@ def _tabu_run(
                     if g <= lo:
                         nlow[u] = 1 if g < lo else nlow[u] + 1
                         lo = low[u] = g
-            else:
-                o = own[u]
-                if not o:
-                    continue  # u's row is not read until own[u] rises
-                gu = gamma[u]
-                g = gu[old] = gu[old] - 1
-                h = gu[c]
-                gu[c] = h + 1
-                lo = low[u]
-                if g == lo:
-                    nlow[u] += h != lo  # slot old joins the minimum, unless slot c just left it
-                    continue
-                if g < lo:
-                    low[u], nlow[u] = g, 1
-                elif h != lo:
-                    continue
-                elif nlow[u] > 1:
-                    nlow[u] -= 1
-                    continue
                 else:
-                    low[u], nlow[u] = h + 1, gu.count(h + 1)
-                bucket = buckets[lo - o + deg]
-                del bucket[bisect_left(bucket, u)]
-                lo = low[u]
+                    g = gu[old] = gu[old] - 1
+                    h = gu[c]
+                    gu[c] = h + 1
+                    lo = low[u]
+                    if g == lo:
+                        nlow[u] += h != lo  # slot old joins the minimum, unless slot c just left it
+                        continue
+                    if g < lo:
+                        low[u], nlow[u] = g, 1
+                    elif h != lo:
+                        continue
+                    elif nlow[u] > 1:
+                        nlow[u] -= 1
+                        continue
+                    else:
+                        low[u], nlow[u] = h + 1, gu.count(h + 1)
+                    bucket = buckets[lo - o + deg]
+                    del bucket[bisect_left(bucket, u)]
+                    lo = low[u]
+            elif color_of[u] == c:  # own[u] rises from 0: the row went stale meanwhile
+                o = own[u] = 1
+                gu = gamma[u]
+                gu[:] = fixed[u] if fixed else zero
+                for w in masks:
+                    gu[color_of[u ^ w]] += 1
+                gu[0] = gu[c] = sentinel
+                lo = low[u] = min(gu)
+                nlow[u] = gu.count(lo)
+            else:
+                continue  # u's row is not read until own[u] rises
             i = lo - o + deg  # every branch reaching here changed u's key
             insort(buckets[i], u)
             if i < first:
                 first = i
-        gv[old] = own[v]
+        gv[old] = p
         own[v] = o = gv[c]
         gv[c] = sentinel
         if o:
-            lo = low[v] = min(gv)
-            nlow[v] = gv.count(lo)
+            lo = low[v]  # slot c (value o) left the row, slot old (value p) joined it
+            kept = nlow[v] - (o == lo)
+            if p < lo:
+                lo = low[v] = p
+                nlow[v] = 1
+            elif p == lo:
+                nlow[v] = kept + 1
+            elif kept:
+                nlow[v] = kept
+            else:
+                lo = low[v] = min(gv)
+                nlow[v] = gv.count(lo)
             i = lo - o + deg
             insort(buckets[i], v)
             if i < first:
@@ -510,7 +536,7 @@ def _tabu_run(
             best_conflicts = conflicts
             best_colors = list(color_of)
 
-        if config.self_check and it % SELF_CHECK_PERIOD == 0:
+        if self_check and it % SELF_CHECK_PERIOD == 0:
             _check_state(
                 color_of, masks, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
                 conflicts, it,
