@@ -53,7 +53,7 @@ def main() -> int:
         elapsed = time.perf_counter() - t0
         print(
             f"freeze-subcube K={colors}: conflicts={out.conflicts}"
-            f" iterations={out.iterations_used} time={elapsed:.1f}s"
+            f" iterations={out.iterations_used} time={elapsed:.3f}s"
             f" it/s={out.iterations_used / elapsed:.0f}"
         )
         if args.save_prefix is not None:

@@ -43,7 +43,7 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
     print(
         f"conflicts={out.conflicts} iterations={out.iterations_used}"
-        f" restarts={out.restarts_used} seed={out.seed_used} time={elapsed:.1f}s"
+        f" restarts={out.restarts_used} seed={out.seed_used} time={elapsed:.3f}s"
     )
 
     coloring = out.best.to_coloring()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .files import content_lines, parse_ints
+from .files import ColoringParseError, content_lines, parse_ints
 from .frozen import Frozen
 from .hamming import Params, ball_masks
 
@@ -55,10 +55,10 @@ class KnownValueTable(Frozen):
         for lineno, line in content_lines(text, "#"):
             parts = line.split(None, 3)
             if len(parts) < 4:
-                raise ValueError(f"line {lineno}: expected 'n d value citation', got {line!r}")
+                raise ColoringParseError(f"line {lineno}: expected 'n d value citation', got {line!r}")
             n, d, value = parse_ints(parts[:3], lineno)
             if value < 1:
-                raise ValueError(f"line {lineno}: value must be positive")
+                raise ColoringParseError(f"line {lineno}: value must be positive")
             entries[(n, d)] = TableEntry(value, parts[3])
         return cls(entries)
 

@@ -12,7 +12,6 @@ sweeps without confusing "try again" with "broken".
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 
@@ -138,14 +137,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     params = Params(args.n, args.k, args.colors)
     options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
     comments, num_vars, num_clauses, clauses = coloring_cnf_stream(params, options)
-    enabled = gc.isenabled()
-    gc.disable()  # as in sat.encode_coloring_cnf: the clauses form no cycles
-    try:
-        with open(args.out, "w") as fh:
-            fh.writelines(dimacs_lines(comments, num_vars, num_clauses, clauses))
-    finally:
-        if enabled:
-            gc.enable()
+    with open(args.out, "w") as fh:
+        fh.writelines(dimacs_lines(comments, num_vars, num_clauses, clauses))
     print(f"variables: {num_vars}")
     print(f"clauses: {num_clauses}")
     return 0

@@ -13,7 +13,7 @@ import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .frozen import Frozen
@@ -330,14 +330,14 @@ def _tabu_run(
     key is v's best delta, so the best move has the least key, top, and the
     first non-empty bucket holds its vertices.  If top aspirates, or every
     move is tabu, the candidates are all nlow[v] minimum colors of those
-    vertices.  Otherwise they are their non-tabu minimum colors; if all of
-    them are tabu, the buckets are walked upward while the key is at most the
-    best delta so far (later rows cannot reach it) and each row is scanned
-    in full.
+    vertices.  Otherwise they are the non-tabu colors of delta best: from
+    best = top up, each vertex of key top..best, in ascending order, counts
+    its non-tabu slots holding best + own[v], and best rises by one while
+    none is found.  A vertex of key above best has no delta that low; best
+    stops at deg - 1, above every real delta.
 
     Ties are counted, not listed: ends holds the running total of the
-    candidate vertices' tie counts, appended while the first bucket is
-    scanned (the walk accumulates its counts after sorting its vertices), and
+    candidate vertices' tie counts, appended as each vertex is counted, and
     total is its last entry.  The draw below total runs the getrandbits
     rejection loop of rng.choice(range(total)), so it takes the index
     rng.choice over a list of total ties would take and leaves rng in the
@@ -367,55 +367,30 @@ def _tabu_run(
         if first == nb:
             break  # no vertex has a move (K = 1)
         tops, top = buckets[first], first - deg
+        best = top
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
-            tie_vs, ends, total = [], [], 0
-            for v in tops:
-                if tmax[v] < it:  # no tabu color: every minimum counts
-                    total += nlow[v]
-                    tie_vs.append(v)
-                    ends.append(total)
-                    continue
-                gv, lo, tv = gamma[v], low[v], tabu_until[v]
-                c = gv.index(lo)
-                n = tv[c] < it
-                rest = nlow[v] - 1
-                while rest:
-                    c = gv.index(lo, c + 1)
-                    n += tv[c] < it
-                    rest -= 1
-                if n:
-                    total += n
-                    tie_vs.append(v)
-                    ends.append(total)
-            best = top
-            if not tie_vs:
-                tie_ns = []
-                best = deg - 1  # above every real delta, below every masked one
-                for key, bucket in enumerate(buckets[first:], top):
-                    if key > best:
-                        break
-                    for v in bucket:
-                        gv, o, tv = gamma[v], own[v], tabu_until[v]
-                        d, n = best, 0
-                        for c, g in enumerate(gv):
-                            delta = g - o
-                            if delta > d or tv[c] >= it:
-                                continue
-                            if delta < d:
-                                d, n = delta, 1
-                            else:
-                                n += 1
-                        if n:
-                            if d < best:
-                                best, tie_vs, tie_ns = d, [v], [n]
-                            else:
-                                tie_vs.append(v)
-                                tie_ns.append(n)
-                if len(tie_vs) > 1:
-                    tie_vs, tie_ns = zip(*sorted(zip(tie_vs, tie_ns)))
-                ends = list(accumulate(tie_ns))
-                any_color = not tie_vs  # forced fallback
+            vs, tie_vs, ends, total = tops, [], [], 0
+            while True:
+                for v in vs:
+                    lo = best + own[v]
+                    n = nlow[v] if lo == low[v] else gamma[v].count(lo)
+                    if tmax[v] >= it:  # some color is tabu: count only the others
+                        gv, tv = gamma[v], tabu_until[v]
+                        rest, n, c = n, 0, -1
+                        while rest:
+                            c = gv.index(lo, c + 1)
+                            n += tv[c] < it
+                            rest -= 1
+                    if n:
+                        total += n
+                        tie_vs.append(v)
+                        ends.append(total)
+                if total or best == deg - 1:  # deg - 1 is above every real delta
+                    break
+                best += 1
+                vs = sorted(chain.from_iterable(buckets[first : best + deg + 1]))
+            any_color = not total  # forced fallback
         if any_color:
             best = top
             tie_vs = tops

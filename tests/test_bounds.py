@@ -21,6 +21,7 @@ from cubecolor.bounds import (
     exact_max_code_size,
     packing_lower_bound,
 )
+from cubecolor.files import ColoringParseError
 from cubecolor.hamming import ball_masks
 
 
@@ -42,7 +43,7 @@ def test_table_parsing():
     ],
 )
 def test_table_parsing_rejects_bad_lines(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ColoringParseError, match="line 1"):
         KnownValueTable.from_text(text)
 
 

@@ -365,14 +365,14 @@ def test_extend_double_always_valid_on_random_bases(seed):
 # sha256 of the saved best coloring).  A kernel change that alters which
 # coloring a seed reaches, or how fast, fails here.  q8k14-s3000,
 # q9-freeze16-s5, q9f13-fixture-s0 and q10k40-s0 match perfbench/pins.json.
-# The K = 13 lift never solves; in 23 of its 750
-# iterations every minimum color of the rows of least key is tabu and none
-# aspirates, so rows are scanned in full.  The K = 14 lift runs all four
-# restarts, so restarts 1..3 draw the free half's colors afresh; restart 1
-# (seed 8) ends best.  The K = 15 lift is the run README cites as the
-# tool's best on Q_9^2.  The last two spend most iterations
-# in the forced fallback move (every move tabu, none aspirating): 1968 and 815
-# of 2000.
+# The K = 13 lift never solves; in 23 of its 750 iterations every minimum
+# color of the rows of least key is tabu and none aspirates, so the target
+# delta rises above the least key and rows of higher key are counted too.
+# The K = 14 lift runs all four restarts, so restarts 1..3 draw the free
+# half's colors afresh; restart 1 (seed 8) ends best.  The K = 15 lift is
+# the run README cites as the tool's best on Q_9^2.  The last two spend most
+# iterations in the forced fallback move (every move tabu, none aspirating):
+# 1968 and 815 of 2000.
 GOLDEN_TRAJECTORIES = {
     "q8k14-s3000": (
         lambda self_check=False: tabu_search(
