@@ -5,7 +5,9 @@ distance >= k+1, so at least ceil(2^n / A(n, k+1)) colors are needed, where
 A(n, d) is the maximum size of an (n, M, d) code.  Known A(n, d) values ship
 as a small cited table; small instances are computed exactly by branch and
 bound (maximum independent set of the distance-< d conflict graph, with word
-0 fixed in the code by translation symmetry).
+0 fixed in the code by translation symmetry), which stops as soon as its best
+code meets the Plotkin bound (Plotkin 1960, "Binary codes with specified
+minimum distance").
 """
 
 from __future__ import annotations
@@ -96,6 +98,23 @@ def _conflict_adjacency(n: int, d: int) -> list[int]:
     return adj
 
 
+def _plotkin_bound(n: int, d: int) -> int | None:
+    """Plotkin's upper bound on A(n, d) for d <= n, or None where it says nothing.
+
+    For even d, A(n, d) <= 2 * floor(d / (2d - n)) when 2d > n, and
+    A(2d, d) <= 4d.  Odd d reduces to even: A(n, d) = A(n + 1, d + 1).
+    """
+    if d > n:
+        return None  # A(n, d) = 1, and the formula would say 0
+    if d % 2:
+        n, d = n + 1, d + 1
+    if 2 * d > n:
+        return 2 * (d // (2 * d - n))
+    if 2 * d == n:
+        return 4 * d
+    return None
+
+
 def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     """Maximum independent set search, no closed-form shortcuts.
 
@@ -107,20 +126,25 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     code holds at most one word of a clique, so the word labelled l and the
     words covered before it add at most l code words.  Candidates are
     branched in reverse cover order, and a node is pruned once
-    chosen + label <= best.  A node is one include/exclude decision;
-    exceeding the budget returns the best size found so far.
+    chosen + label <= best.  The search ends, exact, as soon as best meets
+    the Plotkin bound.  A node is one include/exclude decision; exceeding
+    the budget returns the best size found so far.
     """
     adj = _conflict_adjacency(n, d)
     pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
+    plotkin = _plotkin_bound(n, d)
 
     best = 1
     nodes = 0
-    aborted = False
+    stopped = False
 
     def grow(chosen: int, pool: int) -> None:
-        nonlocal best, nodes, aborted
+        nonlocal best, nodes, stopped
         if chosen > best:
             best = chosen
+            if best == plotkin:
+                stopped = True
+                return
         labels: list[int] = []
         words: list[int] = []
         label = 0
@@ -138,18 +162,19 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
         for i in range(len(words) - 1, -1, -1):
             nodes += 1
             if nodes > budget:
-                aborted = True
+                stopped = True
                 return
             if chosen + labels[i] <= best:
                 return
             v = words[i]
             pool ^= 1 << v
             grow(chosen + 1, pool & ~adj[v])
-            if aborted:
+            if stopped:
                 return
 
     grow(1, pool0)
-    return CodeSizeResult(best, STATUS_TIMEOUT if aborted else STATUS_EXACT)
+    exact = best == plotkin or not stopped
+    return CodeSizeResult(best, STATUS_EXACT if exact else STATUS_TIMEOUT)
 
 
 def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> CodeSizeResult:

@@ -11,9 +11,9 @@ sweeps without confusing "try again" with "broken".
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from collections import namedtuple
 
 from .coloring import class_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
@@ -21,9 +21,10 @@ from .hamming import Params
 
 # Every command loads the modules above anyway (bound through bounds).  The
 # search, SAT, bounds and fixture modules are imported only by the commands
-# that run them, and the parser needs none of them: its --strategy and
+# that run them, and neither parser needs them: the table's --strategy and
 # --symmetry choices spell out search.STRATEGIES and sat.SYMMETRIES, which a
-# test holds them to.
+# test holds them to.  argparse itself is imported only for a command line the
+# fast parser turns down.
 
 
 def _read_text(path: str) -> str:
@@ -50,7 +51,7 @@ def _status(report) -> str:
     return f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args) -> int:
     col = _load(args.file)
     report = verify_coloring(col)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
@@ -67,7 +68,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args) -> int:
     from .bounds import chromatic_lower_bound
 
     result = chromatic_lower_bound(args.n, args.k)
@@ -79,21 +80,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_search_config_args(p: argparse.ArgumentParser) -> None:
-    # No defaults here: an omitted flag takes SearchConfig's.
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--restarts", type=int)
-
-
-def _search_config(args: argparse.Namespace):
+def _search_config(args):
     from .search import SearchConfig
 
     given = {"rng_seed": args.seed, "max_iterations": args.max_iters, "restarts": args.restarts}
     return SearchConfig(**{key: value for key, value in given.items() if value is not None})
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args) -> int:
     from .search import assignment_from_coloring, dsatur_color, greedy_color, tabu_search
 
     params = Params(args.n, args.k, args.colors)
@@ -117,7 +111,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0 if outcome.conflicts == 0 else 1
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args) -> int:
     from .search import extend_to_higher_dim
 
     base = _load(args.infile)
@@ -131,7 +125,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     return 0 if outcome.conflicts == 0 else 1
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
+def cmd_encode(args) -> int:
     from .sat import EncodeOptions, coloring_cnf_stream, dimacs_lines
 
     params = Params(args.n, args.k, args.colors)
@@ -144,7 +138,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decode_model(args: argparse.Namespace) -> int:
+def cmd_decode_model(args) -> int:
     from .sat import decode_model, parse_solver_model
 
     params = Params(args.n, args.k, args.colors)
@@ -157,7 +151,7 @@ def cmd_decode_model(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args) -> int:
     col = _load(args.file)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
     stats = [class_stats(c) for c in col.classes]
@@ -172,76 +166,156 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fixture(args: argparse.Namespace) -> int:
+def cmd_fixture(args) -> int:
     from .fixture import q8_square_13_coloring
 
     print(save_coloring(q8_square_13_coloring()), end="")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The CLI's whole surface, from which both parsers are built.  Each command
+# maps to (help, function, positionals, flags), a positional being (dest, help).
+# A flag of type None keeps its string; type bool makes it a switch that takes
+# no value (argparse's store_true).
+Flag = namedtuple(
+    "Flag", "option dest type choices default required help",
+    defaults=(None, None, None, False, None),
+)
+_SEARCH_CONFIG = (  # no defaults: an omitted flag takes SearchConfig's
+    Flag("--seed", "seed", int),
+    Flag("--max-iters", "max_iters", int),
+    Flag("--restarts", "restarts", int),
+)
+_N, _K, _COLORS = (Flag(f"--{d}", d, int, required=True) for d in ("n", "k", "colors"))
+_OUT = Flag("--out", "out", required=True)
+_FILE = (("file", "coloring file, or - for stdin"),)
+COMMANDS = {
+    "verify": ("check a coloring file; exit 0 valid, 1 invalid", cmd_verify, _FILE, ()),
+    "bound": ("packing lower bound on the chromatic number of Q_n^k", cmd_bound, (), (_N, _K)),
+    "search": (
+        "heuristic coloring; exit 0 iff a proper K-coloring is found", cmd_search, (),
+        (
+            _N, _K, _COLORS,
+            Flag("--algo", "algo", choices=("greedy", "dsatur", "tabu"), default="tabu"),
+            *_SEARCH_CONFIG,
+            Flag("--init", "init", help="coloring file to start the tabu search from"),
+            _OUT,
+        ),
+    ),
+    "extend": (
+        "lift a coloring of Q_n^k to Q_{n+1}^k", cmd_extend, (),
+        (
+            Flag("--in", "infile", required=True),
+            Flag("--strategy", "strategy", choices=("double", "freeze-subcube"), required=True),
+            Flag("--colors", "colors", int),
+            *_SEARCH_CONFIG,
+            _OUT,
+        ),
+    ),
+    "encode": (
+        "write a DIMACS CNF for K-colorability of Q_n^k", cmd_encode, (),
+        (
+            _N, _K, _COLORS,
+            Flag("--symmetry", "symmetry", choices=("none", "fix-vertex-0", "fix-clique"),
+                 default="none"),
+            Flag("--amo", "amo", bool, default=False, help="add pairwise at-most-one clauses"),
+            _OUT,
+        ),
+    ),
+    "decode-model": (
+        "turn a SAT model into a coloring file", cmd_decode_model, (),
+        (
+            _N, _K, _COLORS,
+            Flag("--model", "model", required=True, help="solver output file, or - for stdin"),
+            _OUT,
+        ),
+    ),
+    "stats": ("per-class statistics and fingerprint", cmd_stats, _FILE, ()),
+    "fixture": ("write the embedded 13-coloring of Q_8^2 to stdout", cmd_fixture, (), ()),
+}
+
+_Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
+
+
+def build_parser():
+    """The argparse parser for COMMANDS: help, error messages and every line
+    the fast parser turns down."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cubecolor",
         description="Verify, bound, and search for colorings of powers of the hypercube.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check a coloring file; exit 0 valid, 1 invalid")
-    p.add_argument("file", help="coloring file, or - for stdin")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bound", help="packing lower bound on the chromatic number of Q_n^k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("search", help="heuristic coloring; exit 0 iff a proper K-coloring is found")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--algo", choices=("greedy", "dsatur", "tabu"), default="tabu")
-    _add_search_config_args(p)
-    p.add_argument("--init", help="coloring file to start the tabu search from")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("extend", help="lift a coloring of Q_n^k to Q_{n+1}^k")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--strategy", choices=("double", "freeze-subcube"), required=True)
-    p.add_argument("--colors", type=int)
-    _add_search_config_args(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("encode", help="write a DIMACS CNF for K-colorability of Q_n^k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--symmetry", choices=("none", "fix-vertex-0", "fix-clique"), default="none")
-    p.add_argument("--amo", action="store_true", help="add pairwise at-most-one clauses")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode-model", help="turn a SAT model into a coloring file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--model", required=True, help="solver output file, or - for stdin")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decode_model)
-
-    p = sub.add_parser("stats", help="per-class statistics and fingerprint")
-    p.add_argument("file", help="coloring file, or - for stdin")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("fixture", help="write the embedded 13-coloring of Q_8^2 to stdout")
-    p.set_defaults(func=cmd_fixture)
-
+    for name, (help_, func, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for dest, help_ in positionals:
+            p.add_argument(dest, help=help_)
+        for f in flags:
+            if f.type is bool:
+                p.add_argument(f.option, dest=f.dest, action="store_true", help=f.help)
+            else:
+                p.add_argument(
+                    f.option, dest=f.dest, type=f.type, choices=f.choices, default=f.default,
+                    required=f.required, help=f.help,
+                )
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_fast(argv: list[str]):
+    """argparse's namespace for an exact, complete command line, else None.
+
+    The line must be a known command, then its declared positionals (``-``
+    is one) and each of its flags at most once, spelled in full, a flag that
+    takes a value followed by one that does not start with ``-``.  Values are
+    converted and checked against choices as argparse does, and every
+    required flag must be present.  Every other line, which includes help,
+    abbreviations, ``--flag=value``, repeated flags, negative numbers, ``--``
+    and every error, returns None and is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, flags = COMMANDS[argv[0]]
+    by_option = {f.option: f for f in flags}
+    values = {f.dest: f.default for f in flags}
+    seen = set()
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            given.append(token)
+            continue
+        f = by_option.get(token)
+        if f is None or token in seen:
+            return None
+        seen.add(token)
+        if f.type is bool:
+            values[f.dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is turned down as a dash is
+        if value[:1] == "-":
+            return None
+        if f.type is not None:
+            try:
+                value = f.type(value)
+            except ValueError:
+                return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        values[f.dest] = value
+    if len(given) != len(positionals) or any(f.required and f.option not in seen for f in flags):
+        return None
+    values.update(zip((dest for dest, _ in positionals), given))
+    return _Namespace(command=argv[0], func=func, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout must fail here, not at interpreter exit

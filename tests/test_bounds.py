@@ -97,13 +97,22 @@ def test_search_matches_reference_branch_and_bound(n, d):
     assert _branch_and_bound(n, d, DEFAULT_NODE_BUDGET) == expected
 
 
-@pytest.mark.parametrize("n,d,value,nodes", [(7, 3, 16, 6525), (8, 4, 16, 6591), (10, 6, 6, 13908)])
+@pytest.mark.parametrize("n,d,value,nodes", [(7, 3, 16, 6003), (8, 4, 16, 6051), (10, 6, 6, 926)])
 def test_search_node_counts_are_pinned(n, d, value, nodes):
     # The clique-cover bound settles these in the pinned number of nodes (the
-    # popcount bound needed 2,681,793, 3,438,610 and 286,487).  A weaker
-    # prune or another branching order changes the count.
+    # popcount bound needed 2,681,793, 3,438,610 and 286,487).  Each value
+    # meets the Plotkin bound, where the search stops; it went on to 6,525,
+    # 6,591 and 13,908 nodes to prove nothing larger exists.  A weaker prune,
+    # another branching order or a later stop changes the count.
     assert _branch_and_bound(n, d, nodes) == (value, STATUS_EXACT)
     assert _branch_and_bound(n, d, nodes - 1).status == STATUS_TIMEOUT
+
+
+def test_search_stops_at_the_plotkin_bound():
+    # A(12,7) = 4 = 2 * floor(8 / 3), Plotkin's bound at (13, 8): the search
+    # ends exact as soon as it finds a 4-word code.  Without the stop it had
+    # to refute every 5-word code, 3.5 s through `bound --n 12 --k 6`.
+    assert exact_max_code_size(12, 7, budget=10) == (4, STATUS_EXACT)
 
 
 def test_raw_search_settles_even_weight_codes():

@@ -1,15 +1,19 @@
 """Coloring file format and the command-line surface."""
 
 import argparse
+import contextlib
+import io
+import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cubecolor
@@ -166,7 +170,8 @@ def test_cli_bound_n10_answers_from_the_table(capsys):
 
 
 def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
-    # A(10,6) is not cited; the clique-cover search settles it in 13,908 nodes.
+    # A(10,6) is not cited; the clique-cover search settles it in 926 nodes,
+    # where it meets the Plotkin bound.
     assert main(["bound", "--n", "10", "--k", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["171", "source: exact-computation, A(10,6) = 6"]  # ceil(1024/6)
@@ -498,14 +503,35 @@ def test_cli_unknown_arguments_exit_2():
         main(["no-such-command"])
 
 
+# The --help text of the top level and of each command, and stderr and exit
+# code for malformed lines, byte for byte.  Recorded at 100 columns, a width at
+# which argparse wraps alike on Python 3.10 to 3.13 (3.13 wraps usage lines
+# differently at 80).
+FRONT_END = json.loads(Path(__file__).with_name("cli_front_end.json").read_text())
+
+
+@pytest.mark.parametrize("case", FRONT_END, ids=lambda case: " ".join(case["argv"]) or "no-args")
+def test_cli_help_and_usage_errors_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    assert exc.value.code == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
 # --- What each entry point loads ---
 
 SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search"}
 
 # Standard modules that cost start-up time and that no entry point needs
-# (pathlib alone pulls in urllib.parse and ipaddress).  Only `bound` may load
-# those that importlib.resources, which reads its table, imports.
-SLOW_IMPORTS = {"dataclasses", "importlib.resources", "inspect", "pathlib", "typing"}
+# (pathlib alone pulls in urllib.parse and ipaddress; argparse brings gettext
+# and, to build a parser, locale and shutil).  A well-formed command line never
+# reaches argparse.  Only `bound` may load those that importlib.resources,
+# which reads its table, imports.
+SLOW_IMPORTS = {
+    "argparse", "dataclasses", "gettext", "importlib.resources", "inspect", "locale", "pathlib",
+    "typing",
+}
 RESOURCES_IMPORTS = {"importlib.resources", "inspect", "pathlib", "typing"}
 
 # (argv, or None for a bare `import cubecolor`; the submodules it must not load).
@@ -596,3 +622,120 @@ def test_cli_parser_choices_and_defaults_are_the_librarys():
         assert cli._search_config(parse(argv)) == SearchConfig()
         given = parse([*argv, "--seed", "5", "--max-iters", "7", "--restarts", "2"])
         assert cli._search_config(given) == SearchConfig(rng_seed=5, max_iterations=7, restarts=2)
+
+
+# --- The fast parser against argparse ---
+
+ROOT = Path(__file__).resolve().parents[1]
+PARSER = cli.build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace; fails the test where argparse rejects the line."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(PARSER.parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"the fast parser accepted {argv!r}; argparse exits: {sink.getvalue()}")
+
+
+def _readme_lines():
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("cubecolor "):
+            argv = shlex.split(line, comments=True)[1:]
+            yield argv[: argv.index(">")] if ">" in argv else argv
+
+
+def _toolchain_lines(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    return [op.argv for op in workloads.toolchain_ops(cubecolor, random.Random(0), tmp_path)]
+
+
+def test_readme_and_benchmark_command_lines_take_the_fast_path(monkeypatch, tmp_path):
+    lines = [*_readme_lines(), *_toolchain_lines(monkeypatch, tmp_path)]
+    assert len(lines) == 12 + 15
+    for argv in lines:
+        fast = cli._parse_fast(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _argparse_vars(argv)
+
+
+_FLAGS = sorted({flag.option for *_, flags in cli.COMMANDS.values() for flag in flags})
+_VALUES = [
+    "8", "2", "14", "0", "-8", "+8", " 8", "8 ", "1_0", "٨", "8.0", "0x10", "eight", "", "-",
+    "--", "-h", "--help", "q8.txt", "a b", "greedy", "dsatur", "tabu", "Tabu", "double",
+    "freeze-subcube", "freeze", "none", "fix-vertex-0", "fix-clique", "fix", "verify",
+]
+# Abbreviations, --flag=value forms and flags no command has.
+_NEAR_FLAGS = ["--col", "--co", "--s", "--st", "--max", "--in", "--mod", "--am", "--x", "-n"] + [
+    f"{flag}={value}" for flag in _FLAGS for value in ("8", "tabu", "")
+]
+_TOKEN = st.sampled_from(_FLAGS + _VALUES + _NEAR_FLAGS)
+
+
+@st.composite
+def _well_formed(draw):
+    """A complete line from the table, in shuffled order."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positionals, flags = cli.COMMANDS[command]
+    groups = [[draw(st.sampled_from(["q8.txt", "-", "a b", ""]))] for _ in positionals]
+    for flag in flags:
+        if not flag.required and draw(st.booleans()):
+            continue
+        if flag.type is bool:
+            groups.append([flag.option])
+        elif flag.choices is not None:
+            groups.append([flag.option, draw(st.sampled_from(flag.choices))])
+        elif flag.type is int:
+            groups.append([flag.option, str(draw(st.integers(0, 20)))])
+        else:
+            groups.append([flag.option, draw(st.sampled_from(["out.txt", "a b", ""]))])
+    groups = draw(st.permutations(groups))
+    return [command, *(token for group in groups for token in group)]
+
+
+@st.composite
+def _mutated(draw):
+    """A well-formed line with a few tokens inserted, deleted or replaced."""
+    argv = draw(_well_formed())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            argv.insert(i, draw(_TOKEN))
+        elif i < len(argv):
+            if kind == "delete":
+                del argv[i]
+            else:
+                argv[i] = draw(_TOKEN)
+    return argv
+
+
+_ANY_LINE = st.one_of(
+    _well_formed(),
+    _mutated(),
+    st.lists(_TOKEN, max_size=6).flatmap(
+        lambda tail: st.sampled_from([*cli.COMMANDS, "frobnicate", "-h"]).map(lambda c: [c, *tail])
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_ANY_LINE)
+@example(["search", "--n", "3", "--k", "2", "--colors", "4", "--out", "--init"])
+@example(["decode-model", "--n", "3", "--k", "2", "--colors", "4", "--out", "o", "--model"])
+def test_fast_parser_agrees_with_argparse(argv):
+    fast = cli._parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == _argparse_vars(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_well_formed())
+def test_fast_parser_takes_every_well_formed_line(argv):
+    fast = cli._parse_fast(argv)
+    assert fast is not None and fast.func is cli.COMMANDS[argv[0]][1]
+    assert vars(fast) == _argparse_vars(argv)
