@@ -97,7 +97,11 @@ def test_search_matches_reference_branch_and_bound(n, d):
     assert _branch_and_bound(n, d, DEFAULT_NODE_BUDGET) == expected
 
 
-@pytest.mark.parametrize("n,d,value,nodes", [(7, 3, 16, 6003), (8, 4, 16, 6051), (10, 6, 6, 926)])
+@pytest.mark.parametrize(
+    "n,d,value,nodes",
+    [(7, 3, 16, 6003), (8, 4, 16, 6051), (10, 6, 6, 926)],
+    ids=["7-3", "8-4", "10-6"],  # not the counts, which a re-pin changes
+)
 def test_search_node_counts_are_pinned(n, d, value, nodes):
     # The clique-cover bound settles these in the pinned number of nodes (the
     # popcount bound needed 2,681,793, 3,438,610 and 286,487).  Each value
@@ -111,7 +115,7 @@ def test_search_node_counts_are_pinned(n, d, value, nodes):
 def test_search_stops_at_the_plotkin_bound():
     # A(12,7) = 4 = 2 * floor(8 / 3), Plotkin's bound at (13, 8): the search
     # ends exact as soon as it finds a 4-word code.  Without the stop it had
-    # to refute every 5-word code, 3.5 s through `bound --n 12 --k 6`.
+    # to refute every 5-word code, 2.8 s through `bound --n 12 --k 6`.
     assert exact_max_code_size(12, 7, budget=10) == (4, STATUS_EXACT)
 
 
