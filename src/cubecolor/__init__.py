@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 # only the modules it calls.
 _EXPORTS = {
     "bounds": (
-        "ChromaticBound", "CodeSizeResult", "KnownValueTable", "UnknownCodeSizeError",
-        "chromatic_lower_bound", "default_table", "exact_max_code_size",
-        "packing_lower_bound",
+        "ChromaticBound", "CodeSizeResult", "UnknownCodeSizeError", "chromatic_lower_bound",
+        "exact_max_code_size", "packing_lower_bound",
     ),
     "coloring": (
         "ClassStats", "CodeClass", "Coloring", "VerifyReport", "Violation", "class_stats",

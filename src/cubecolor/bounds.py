@@ -13,10 +13,7 @@ minimum distance").
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 
-from .files import ColoringParseError, content_lines, parse_ints
-from .frozen import Frozen
 from .hamming import Params, ball_masks
 
 # Exact search is desk-scale only; beyond this the conflict graph and the
@@ -35,44 +32,21 @@ class UnknownCodeSizeError(ValueError):
     """A(n, d) is neither in the table nor computable at desk scale."""
 
 
-class TableEntry(namedtuple("TableEntry", "value citation")):
-    __slots__ = ()
-
-
-class KnownValueTable(Frozen):
-    """Known maximum code sizes A(n, d) with provenance."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[int, int], TableEntry]) -> None:
-        self._init(entries=entries)
-
-    def get(self, n: int, d: int) -> TableEntry | None:
-        return self.entries.get((n, d))
-
-    @classmethod
-    def from_text(cls, text: str) -> KnownValueTable:
-        """Parse the plain-text resource format: lines "n d value citation"."""
-        entries: dict[tuple[int, int], TableEntry] = {}
-        for lineno, line in content_lines(text, "#"):
-            parts = line.split(None, 3)
-            if len(parts) < 4:
-                raise ColoringParseError(f"line {lineno}: expected 'n d value citation', got {line!r}")
-            n, d, value = parse_ints(parts[:3], lineno)
-            if value < 1:
-                raise ColoringParseError(f"line {lineno}: value must be positive")
-            entries[(n, d)] = TableEntry(value, parts[3])
-        return cls(entries)
-
-
-@cache
-def default_table() -> KnownValueTable:
-    import importlib.resources  # here, not at the top: on 3.12+ it imports inspect
-
-    text = (
-        importlib.resources.files(__package__).joinpath("data/known_code_sizes.txt").read_text()
-    )
-    return KnownValueTable.from_text(text)
+# Known maximum sizes A(n, d) of binary codes of length n and minimum
+# distance d: (n, d) -> (value, citation).  Entries for n <= 6 are
+# deliberately absent: the exact search recomputes those instantly, so
+# lookups fall back to it and report their source as a computation rather
+# than a citation.
+KNOWN_CODE_SIZES = {
+    (7, 3): (16, "Hamming (1950), perfect single-error-correcting code"),
+    (8, 3): (20, "Best, Brouwer, MacWilliams, Odlyzko, Sloane (1978)"),
+    (9, 3): (40, "Best (1980); upper bound in Best et al. (1978)"),
+    (10, 3): (72, "Östergård, Baicheva, Kolev (1999), IEEE Trans. Inf. Theory 45,"
+              ' "Optimal binary one-error-correcting codes of length 10 have 72 codewords"'),
+    (7, 4): (8, "A(7,4) = A(6,3), even-weight extension/shortening"),
+    (8, 4): (16, "extended Hamming code; Best et al. (1978)"),
+    (9, 4): (20, "A(9,4) = A(8,3), even-weight extension/shortening"),
+}
 
 
 class CodeSizeResult(namedtuple("CodeSizeResult", "value status")):
@@ -216,20 +190,19 @@ class ChromaticBound(namedtuple("ChromaticBound", "bound source max_code_size ci
     __slots__ = ()
 
 
-def chromatic_lower_bound(n: int, k: int, table: KnownValueTable | None = None) -> ChromaticBound:
+def chromatic_lower_bound(n: int, k: int) -> ChromaticBound:
     """Packing lower bound on the chromatic number of Q_n^k.
 
-    A(n, k+1) is resolved from the known-value table first, then by exact
+    A(n, k+1) is resolved from KNOWN_CODE_SIZES first, then by exact
     computation.  If neither applies, UnknownCodeSizeError is raised: a
     silently weaker bound would be worse than no answer.
     """
     Params(n, k)  # ValueError naming the range, as for every other command
     d = k + 1
-    entry = (default_table() if table is None else table).get(n, d)
+    entry = KNOWN_CODE_SIZES.get((n, d))
     if entry is not None:
-        return ChromaticBound(
-            packing_lower_bound(n, entry.value), SOURCE_TABLE, entry.value, entry.citation
-        )
+        value, citation = entry
+        return ChromaticBound(packing_lower_bound(n, value), SOURCE_TABLE, value, citation)
     try:
         value, status = exact_max_code_size(n, d)
     except ValueError as exc:  # n and d are in range, so only n is too large to search

@@ -42,6 +42,12 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 #: k = 1..5).
 MAX_SEARCH_BYTES = 1 << 30
 
+#: Tabu tenure, the classic graph-coloring setting: a reverted (vertex,
+#: old-color) pair stays tabu for int(TABU_TENURE_BASE + TABU_TENURE_SLOPE *
+#: current_conflicts) iterations.
+TABU_TENURE_BASE = 7
+TABU_TENURE_SLOPE = 0.6
+
 
 def _check_memory(what: str, estimate: int) -> None:
     if estimate > MAX_SEARCH_BYTES:
@@ -90,31 +96,23 @@ def assignment_from_coloring(col: Coloring) -> Assignment:
 class SearchConfig(Frozen):
     """Tabu/restart knobs.
 
-    Tenure follows the classic graph-coloring setting: a reverted (vertex,
-    old-color) pair stays tabu for tabu_tenure_base + tabu_tenure_slope *
-    current_conflicts iterations.  Restart r uses seed rng_seed + r; the best
-    outcome across restarts wins, ties going to the earliest restart, so a
-    parallel fan-out would return the same answer as the sequential loop.
+    Restart r uses seed rng_seed + r; the best outcome across restarts wins,
+    ties going to the earliest restart, so a parallel fan-out would return
+    the same answer as the sequential loop.
     """
 
-    __slots__ = (
-        "rng_seed", "max_iterations", "restarts", "tabu_tenure_base", "tabu_tenure_slope",
-        "self_check",
-    )
+    __slots__ = ("rng_seed", "max_iterations", "restarts", "self_check")
 
     def __init__(
         self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0,
-        tabu_tenure_base: int = 7, tabu_tenure_slope: float = 0.6, self_check: bool = False,
+        self_check: bool = False,
     ) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        if tabu_tenure_base < 0 or tabu_tenure_slope < 0:
-            raise ValueError("tabu tenure parameters must be nonnegative")
         self._init(
             rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts,
-            tabu_tenure_base=tabu_tenure_base, tabu_tenure_slope=tabu_tenure_slope,
             self_check=self_check,
         )
 
@@ -355,7 +353,7 @@ def _tabu_run(
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
     tmax = [0] * len(color_of)
-    base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
+    base, slope = TABU_TENURE_BASE, TABU_TENURE_SLOPE
     max_iterations, self_check = config.max_iterations, config.self_check
     getrandbits = rng.getrandbits
 

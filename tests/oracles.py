@@ -205,11 +205,15 @@ def reference_tabu_run(
     frozen: frozenset[int],
     rng: random.Random,
     config: SearchConfig,
+    base: int,
+    slope: float,
 ) -> tuple[list[int], int, int]:
     """The tabu kernel as first written: every (vertex, color) pair every iteration.
 
     Kept verbatim as the bit-exact reference for search._tabu_run; returns
     (best_colors, best_conflicts, iters) and draws from rng identically.
+    A reverted (vertex, old-color) pair stays tabu for int(base + slope *
+    conflicts) iterations: the tenure is passed in, not read from search.
 
     Each iteration moves one conflicted, non-frozen vertex to the color that
     minimizes the resulting conflict count over non-tabu moves; a tabu move is
@@ -230,7 +234,6 @@ def reference_tabu_run(
     best_conflicts = conflicts
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
-    base, slope = config.tabu_tenure_base, config.tabu_tenure_slope
 
     it = 0
     while it < config.max_iterations and conflicts > 0:

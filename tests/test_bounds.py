@@ -1,4 +1,4 @@
-"""Code-size bounds: table parsing, exact search vs naive oracle, chromatic bound."""
+"""Code-size bounds: the cited table, exact search vs naive oracle, chromatic bound."""
 
 import pytest
 
@@ -6,62 +6,35 @@ import oracles
 from cubecolor import bounds
 from cubecolor.bounds import (
     DEFAULT_NODE_BUDGET,
+    KNOWN_CODE_SIZES,
     SOURCE_EXACT,
     SOURCE_TABLE,
     STATUS_EXACT,
     STATUS_TIMEOUT,
     CodeSizeResult,
-    KnownValueTable,
-    TableEntry,
     UnknownCodeSizeError,
     _branch_and_bound,
     _conflict_adjacency,
     chromatic_lower_bound,
-    default_table,
     exact_max_code_size,
     packing_lower_bound,
 )
-from cubecolor.files import ColoringParseError
 from cubecolor.hamming import ball_masks
 
 
-def test_table_parsing():
-    table = KnownValueTable.from_text(
-        "# comment\n\n8 3 20 Somebody (1978)\n7 3 16 classic result\n"
-    )
-    assert table.get(8, 3) == TableEntry(20, "Somebody (1978)")
-    assert table.get(7, 3).value == 16
-    assert table.get(9, 9) is None
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "8 3 20",  # citation missing
-        "8 3 twenty cite",
-        "8 3 0 cite",  # value must be positive
-    ],
-)
-def test_table_parsing_rejects_bad_lines(text):
-    with pytest.raises(ColoringParseError, match="line 1"):
-        KnownValueTable.from_text(text)
-
-
 def test_default_table_contents():
-    table = default_table()
-    assert table.get(8, 3).value == 20
-    assert table.get(7, 3).value == 16
-    assert table.get(9, 3).value == 40
-    assert table.get(10, 3).value == 72
-    assert all(entry.citation for entry in table.entries.values())
+    assert KNOWN_CODE_SIZES[8, 3][0] == 20
+    assert KNOWN_CODE_SIZES[7, 3][0] == 16
+    assert KNOWN_CODE_SIZES[9, 3][0] == 40
+    assert KNOWN_CODE_SIZES[10, 3][0] == 72
+    assert all(citation for _, citation in KNOWN_CODE_SIZES.values())
 
 
 def test_default_table_agrees_with_exact_search_where_cheap():
     # Guards the shipped numbers on every n where the exact search is fast.
-    table = default_table()
-    for (n, d), entry in table.entries.items():
+    for (n, d), (value, _) in KNOWN_CODE_SIZES.items():
         if n <= 7 or (n, d) == (8, 4):
-            assert exact_max_code_size(n, d).value == entry.value, (n, d)
+            assert exact_max_code_size(n, d).value == value, (n, d)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -203,32 +176,33 @@ def test_chromatic_lower_bound_rejects_out_of_range_params(n, k):
         chromatic_lower_bound(n, k)
 
 
-def test_chromatic_lower_bound_prefers_custom_table():
-    table = KnownValueTable({(3, 3): TableEntry(2, "made up")})
-    got = chromatic_lower_bound(3, 2, table=table)
+def test_chromatic_lower_bound_prefers_custom_table(monkeypatch):
+    monkeypatch.setitem(bounds.KNOWN_CODE_SIZES, (3, 3), (2, "made up"))
+    got = chromatic_lower_bound(3, 2)
     assert got == (4, SOURCE_TABLE, 2, "made up")
 
 
 def test_chromatic_lower_bound_unknown_raises():
     with pytest.raises(UnknownCodeSizeError):
-        chromatic_lower_bound(13, 2, table=KnownValueTable({}))
+        chromatic_lower_bound(13, 2)
 
 
 def test_chromatic_lower_bound_names_the_search_range():
     with pytest.raises(UnknownCodeSizeError, match=r"A\(13,3\) is unknown: not in the table and"
                        r" n=13 is out of exact-search range 1\.\.12"):
-        chromatic_lower_bound(13, 2, table=KnownValueTable({}))
+        chromatic_lower_bound(13, 2)
 
 
 def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
     # n = 10 is inside the exact-search range; running out of nodes there is
     # a budget matter, not a range matter.  The real search of A(10,3)
     # exhausts its 3 * 10**6 nodes after about 33 s.
+    monkeypatch.delitem(bounds.KNOWN_CODE_SIZES, (10, 3))
     monkeypatch.setattr(
         bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)
     )
     with pytest.raises(UnknownCodeSizeError) as exc:
-        chromatic_lower_bound(10, 2, table=KnownValueTable({}))
+        chromatic_lower_bound(10, 2)
     message = str(exc.value)
     assert f"exhausted its {DEFAULT_NODE_BUDGET}-node budget" in message
     assert "best code found: 60 words" in message

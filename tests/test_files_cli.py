@@ -526,13 +526,11 @@ SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hammin
 # Standard modules that cost start-up time and that no entry point needs
 # (pathlib alone pulls in urllib.parse and ipaddress; argparse brings gettext
 # and, to build a parser, locale and shutil).  A well-formed command line never
-# reaches argparse.  Only `bound` may load those that importlib.resources,
-# which reads its table, imports.
+# reaches argparse.
 SLOW_IMPORTS = {
     "argparse", "dataclasses", "gettext", "importlib.resources", "inspect", "locale", "pathlib",
     "typing",
 }
-RESOURCES_IMPORTS = {"importlib.resources", "inspect", "pathlib", "typing"}
 
 # (argv, or None for a bare `import cubecolor`; the submodules it must not load).
 # Each runs in a fresh `python -S`, so no site hook preloads a module and hides
@@ -583,15 +581,14 @@ def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_p
         check=True,
     )
     loaded = set(proc.stdout.splitlines()[-1].split())
-    allowed = RESOURCES_IMPORTS if argv is not None and argv[0] == "bound" else set()
-    assert loaded & SLOW_IMPORTS <= allowed
+    assert not loaded & SLOW_IMPORTS
     loaded = {m.removeprefix("cubecolor.") for m in loaded - SLOW_IMPORTS}
     assert loaded <= SUBMODULES
     assert not loaded & unloaded
 
 
 def test_package_exports_resolve_to_their_home_objects():
-    assert len(cubecolor.__all__) == 46
+    assert len(cubecolor.__all__) == 44
     listed = dir(cubecolor)
     for name in cubecolor.__all__:
         value = getattr(cubecolor, name)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecolor.bounds import KnownValueTable
 from cubecolor.cli import main
 from cubecolor.files import load_coloring
 from cubecolor.sat import parse_solver_model
@@ -50,12 +49,6 @@ def solver_model_texts(draw):
     return "s SATISFIABLE\n" + "".join(" ".join(["v", *row]) + "\n" for row in rows)
 
 
-@st.composite
-def table_texts(draw):
-    rows = draw(_rows(-1, 24, draw(st.integers(1, 4))))
-    return "".join(" ".join([*row, "a citation"]) + "\n" for row in rows)
-
-
 def _rejects_only_with_value_error(reader, text: str) -> None:
     try:
         reader(text)
@@ -66,14 +59,12 @@ def _rejects_only_with_value_error(reader, text: str) -> None:
 READERS = {
     "load_coloring": load_coloring,
     "parse_solver_model": parse_solver_model,
-    "known_value_table": KnownValueTable.from_text,
 }
 
 # Text that opens validly for each reader, so the fuzz reaches past its header.
 WELL_FORMED_START = {
     "load_coloring": coloring_texts(),
     "parse_solver_model": solver_model_texts(),
-    "known_value_table": table_texts(),
 }
 
 

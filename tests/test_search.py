@@ -189,10 +189,9 @@ def test_tabu_self_check_mode_runs_clean():
     "run",
     [
         lambda: tabu_search(Params(5, 2, 5), SearchConfig(rng_seed=3, max_iterations=400, self_check=True)),
-        lambda: tabu_search(
-            Params(4, 2, 3),
-            SearchConfig(rng_seed=1, max_iterations=400, tabu_tenure_base=1000, self_check=True),
-        ),
+        lambda: _with_tenure(1000, 0.6, lambda: tabu_search(
+            Params(4, 2, 3), SearchConfig(rng_seed=1, max_iterations=400, self_check=True),
+        )),
         lambda: extend_to_higher_dim(
             Q3_COLORING, "freeze-subcube", 5,
             SearchConfig(rng_seed=5, max_iterations=400, self_check=True),
@@ -270,8 +269,6 @@ def test_search_config_validation():
         SearchConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SearchConfig(restarts=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(tabu_tenure_base=-1)
 
 
 def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsys):
@@ -429,22 +426,17 @@ GOLDEN_TRAJECTORIES = {
         [0, 372, 0, 0, "60e36c71be71c9bca752dee10954f6152375265357874cb764f389d387da9df2"],
     ),
     "q4k3-fallback": (
-        lambda self_check=False: tabu_search(
+        lambda self_check=False: _with_tenure(1000, 0.6, lambda: tabu_search(
             Params(4, 2, 3),
-            SearchConfig(
-                rng_seed=1, max_iterations=2_000, tabu_tenure_base=1000, self_check=self_check
-            ),
-        ),
+            SearchConfig(rng_seed=1, max_iterations=2_000, self_check=self_check),
+        )),
         [18, 2000, 0, 1, "fbc64db2e4d92d543fcbbc68791b60bb8a304ff380ffe7f3f5dae8eacfc6ba09"],
     ),
     "q5k4-fallback": (
-        lambda self_check=False: tabu_search(
+        lambda self_check=False: _with_tenure(50, 2.0, lambda: tabu_search(
             Params(5, 2, 4),
-            SearchConfig(
-                rng_seed=3, max_iterations=2_000, tabu_tenure_base=50, tabu_tenure_slope=2.0,
-                self_check=self_check,
-            ),
-        ),
+            SearchConfig(rng_seed=3, max_iterations=2_000, self_check=self_check),
+        )),
         [32, 2000, 0, 3, "442e21784b12614ffba75c7e945eb3bfb1bed787bf95bee6fb82c6634afed976"],
     ),
 }
@@ -488,35 +480,55 @@ def test_tabu_kernel_matches_reference(seed):
     k = rng.randrange(1, 3)
     num = rng.randrange(1, 7)
     colors = [rng.randrange(1, num + 1) for _ in range(1 << n)]
-    knobs = _random_knobs(rng)
-    config = SearchConfig(**knobs)
-    neighbors = oracles.naive_neighbors(n, k)
-    run_seed = rng.randrange(10**9)
-    fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
-    fast = _tabu_run(list(colors), num, ball_masks(n, k), None, fast_rng, config)
-    ref = oracles.reference_tabu_run(list(colors), num, neighbors, frozenset(), ref_rng, config)
-    assert fast == ref
-    assert fast_rng.getstate() == ref_rng.getstate()
-    # The same run recounting its whole state after every move: no entry goes
-    # stale, and checking changes no move.
-    checked_rng = random.Random(run_seed)
     with pytest.MonkeyPatch.context() as patch:
+        knobs, tenure = _random_knobs(rng, patch)
+        config = SearchConfig(**knobs)
+        neighbors = oracles.naive_neighbors(n, k)
+        run_seed = rng.randrange(10**9)
+        fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
+        fast = _tabu_run(list(colors), num, ball_masks(n, k), None, fast_rng, config)
+        ref = oracles.reference_tabu_run(
+            list(colors), num, neighbors, frozenset(), ref_rng, config, *tenure
+        )
+        assert fast == ref
+        assert fast_rng.getstate() == ref_rng.getstate()
+        # The same run recounting its whole state after every move: no entry
+        # goes stale, and checking changes no move.
+        checked_rng = random.Random(run_seed)
         patch.setattr(search, "SELF_CHECK_PERIOD", 1)
         checked = _tabu_run(
             list(colors), num, ball_masks(n, k), None, checked_rng,
             SearchConfig(**knobs, self_check=True),
         )
-    assert checked == fast
-    assert checked_rng.getstate() == fast_rng.getstate()
+        assert checked == fast
+        assert checked_rng.getstate() == fast_rng.getstate()
 
 
-def _random_knobs(rng):
-    """Iteration budget and tenure; a base of 100 or more forces the fallback move."""
-    return dict(
-        max_iterations=rng.randrange(1, 400),
-        tabu_tenure_base=rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
-        tabu_tenure_slope=rng.choice((0.0, 0.6, rng.uniform(0, 3))),
+def _random_knobs(rng, patch):
+    """Iteration budget and tenure; a base of 100 or more forces the fallback move.
+
+    The tenure (base, slope) is set on search's constants through patch and
+    returned for the reference.
+    """
+    knobs = dict(max_iterations=rng.randrange(1, 400))
+    tenure = (
+        rng.choice((0, rng.randrange(1, 12), rng.randrange(100, 2000))),
+        rng.choice((0.0, 0.6, rng.uniform(0, 3))),
     )
+    _set_tenure(patch, *tenure)
+    return knobs, tenure
+
+
+def _set_tenure(patch, base, slope):
+    patch.setattr(search, "TABU_TENURE_BASE", base)
+    patch.setattr(search, "TABU_TENURE_SLOPE", slope)
+
+
+def _with_tenure(base, slope, run):
+    """run() with the tabu tenure set to int(base + slope * conflicts)."""
+    with pytest.MonkeyPatch.context() as patch:
+        _set_tenure(patch, base, slope)
+        return run()
 
 
 @settings(deadline=None)
@@ -534,24 +546,25 @@ def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
     rng.shuffle(order)
     base = greedy_color(Params(n, k), order)
     num = rng.randrange(len(base.classes), len(base.classes) + 3)
-    knobs = dict(_random_knobs(rng), rng_seed=rng.randrange(10**9))
-    draw = random.Random(knobs["rng_seed"])  # the lift's draw for restart 0
-    colors = assignment_from_coloring(base).color_of + [
-        draw.randrange(1, num + 1) for _ in order
-    ]
-    ref = oracles.reference_tabu_run(
-        colors, num, oracles.naive_neighbors(n + 1, k), frozenset(range(len(order))),
-        random.Random(knobs["rng_seed"]), SearchConfig(**knobs),
-    )
-    out = extend_to_higher_dim(base, "freeze-subcube", num, SearchConfig(**knobs))
-    assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
-    assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
     with pytest.MonkeyPatch.context() as patch:
+        knobs, tenure = _random_knobs(rng, patch)
+        knobs["rng_seed"] = rng.randrange(10**9)
+        draw = random.Random(knobs["rng_seed"])  # the lift's draw for restart 0
+        colors = assignment_from_coloring(base).color_of + [
+            draw.randrange(1, num + 1) for _ in order
+        ]
+        ref = oracles.reference_tabu_run(
+            colors, num, oracles.naive_neighbors(n + 1, k), frozenset(range(len(order))),
+            random.Random(knobs["rng_seed"]), SearchConfig(**knobs), *tenure,
+        )
+        out = extend_to_higher_dim(base, "freeze-subcube", num, SearchConfig(**knobs))
+        assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
+        assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
         patch.setattr(search, "SELF_CHECK_PERIOD", 1)
         checked = extend_to_higher_dim(
             base, "freeze-subcube", num, SearchConfig(**knobs, self_check=True)
         )
-    assert _record(checked) == _record(out)
+        assert _record(checked) == _record(out)
 
 
 def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from cubecolor.bounds import KnownValueTable, TableEntry
 from cubecolor.coloring import (
     ClassStats,
     CodeClass,
@@ -79,10 +78,6 @@ FROZEN_TYPES = [
         id="EncodeOptions",
     ),
     pytest.param(
-        lambda: KnownValueTable(entries={(8, 3): TableEntry(20, "cite")}),
-        lambda: KnownValueTable({}), "entries", None, None, id="KnownValueTable",
-    ),
-    pytest.param(
         lambda: SearchConfig(rng_seed=3, self_check=True), lambda: SearchConfig(),
         "rng_seed", lambda: SearchConfig(max_iterations=0), "max_iterations must be positive",
         id="SearchConfig",
@@ -116,8 +111,7 @@ def test_frozen_value_type_contract(build, build_other, field, bad, message):
 
     assert a is not b and a == b and not a != b
     assert a != build_other()
-    if not isinstance(a, KnownValueTable):  # it holds a dict, so it never hashed
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
 
     if bad is not None:
         with pytest.raises(ValueError, match=re.escape(message)):
