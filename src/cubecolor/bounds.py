@@ -32,20 +32,17 @@ class UnknownCodeSizeError(ValueError):
     """A(n, d) is neither in the table nor computable at desk scale."""
 
 
-# Known maximum sizes A(n, d) of binary codes of length n and minimum
-# distance d: (n, d) -> (value, citation).  Entries for n <= 6 are
-# deliberately absent: the exact search recomputes those instantly, so
-# lookups fall back to it and report their source as a computation rather
-# than a citation.
+# Known maximum sizes A(n, d) of binary codes of length n and odd minimum
+# distance d: (n, d) -> (value, citation).  Even d is looked up as
+# A(n, d) = A(n - 1, d - 1).  Entries for n <= 6 are deliberately absent:
+# the exact search recomputes those instantly, so lookups fall back to it
+# and report their source as a computation rather than a citation.
 KNOWN_CODE_SIZES = {
     (7, 3): (16, "Hamming (1950), perfect single-error-correcting code"),
     (8, 3): (20, "Best, Brouwer, MacWilliams, Odlyzko, Sloane (1978)"),
     (9, 3): (40, "Best (1980); upper bound in Best et al. (1978)"),
     (10, 3): (72, "Östergård, Baicheva, Kolev (1999), IEEE Trans. Inf. Theory 45,"
               ' "Optimal binary one-error-correcting codes of length 10 have 72 codewords"'),
-    (7, 4): (8, "A(7,4) = A(6,3), even-weight extension/shortening"),
-    (8, 4): (16, "extended Hamming code; Best et al. (1978)"),
-    (9, 4): (20, "A(9,4) = A(8,3), even-weight extension/shortening"),
 }
 
 
@@ -157,7 +154,10 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     d = 1 admits the whole space and d = 2 the even-weight words, so those
     return in closed form for every n; d > n forces a single word.
     Everything else runs the branch-and-bound search under the given node
-    budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.
+    budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.  An even d
+    searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
+    of odd distance d - 1 makes its distance d; deleting a coordinate of a
+    code of distance d leaves d - 1), over half the words.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -173,6 +173,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
         return CodeSizeResult(1, STATUS_EXACT)
     if n > MAX_EXACT_DIMENSION:
         raise ValueError(f"n={n} is out of exact-search range 1..{MAX_EXACT_DIMENSION}")
+    if d % 2 == 0:
+        n, d = n - 1, d - 1
     return _branch_and_bound(n, d, budget)
 
 
@@ -193,15 +195,19 @@ class ChromaticBound(namedtuple("ChromaticBound", "bound source max_code_size ci
 def chromatic_lower_bound(n: int, k: int) -> ChromaticBound:
     """Packing lower bound on the chromatic number of Q_n^k.
 
-    A(n, k+1) is resolved from KNOWN_CODE_SIZES first, then by exact
-    computation.  If neither applies, UnknownCodeSizeError is raised: a
-    silently weaker bound would be worse than no answer.
+    A(n, k+1) is resolved from KNOWN_CODE_SIZES first, an even k+1 through
+    A(n, k+1) = A(n - 1, k), then by exact computation.  If neither applies,
+    UnknownCodeSizeError is raised: a silently weaker bound would be worse
+    than no answer.
     """
     Params(n, k)  # ValueError naming the range, as for every other command
     d = k + 1
-    entry = KNOWN_CODE_SIZES.get((n, d))
+    m, e = (n, d) if d % 2 else (n - 1, d - 1)
+    entry = KNOWN_CODE_SIZES.get((m, e))
     if entry is not None:
         value, citation = entry
+        if e != d:
+            citation = f"A({n},{d}) = A({m},{e}), even-weight extension/shortening; {citation}"
         return ChromaticBound(packing_lower_bound(n, value), SOURCE_TABLE, value, citation)
     try:
         value, status = exact_max_code_size(n, d)

@@ -15,7 +15,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .coloring import class_stats, fingerprint_from_stats, verify_coloring
+from .coloring import classes_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
 from .hamming import Params
 
@@ -154,7 +154,7 @@ def cmd_decode_model(args) -> int:
 def cmd_stats(args) -> int:
     col = _load(args.file)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
-    stats = [class_stats(c) for c in col.classes]
+    stats = classes_stats(col.classes)
     for i, s in enumerate(stats, start=1):
         weights = ",".join(map(str, s.weight_distribution))
         dists = ",".join(map(str, s.distance_distribution[1:]))

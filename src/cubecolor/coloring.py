@@ -92,21 +92,46 @@ class ClassStats(
 
 
 def class_stats(c: CodeClass) -> ClassStats:
-    n = c.n
-    weights = [0] * (n + 1)
-    for w in c.words:
-        weights[w.bit_count()] += 1
+    return classes_stats([c])[0]
+
+
+def classes_stats(classes: tuple[CodeClass, ...] | list[CodeClass]) -> tuple[ClassStats, ...]:
+    """class_stats of each class, walking the pairs once per translation class.
+
+    d(u ^ t, v ^ t) = d(u, v), so classes with the same key, the class
+    translated by its least word, share one distance histogram; equal keys
+    always mean translates.  Greedy's classes are cosets of one linear code,
+    so all of them share one key.  A key costs O(M) against the walk's
+    O(M^2).  Weights are counted per class.
+    """
+    histograms: dict = {}
+    stats = []
+    for c in classes:
+        t = min(c.words, default=0)
+        key = (c.n, frozenset([w ^ t for w in c.words]))
+        distances = histograms.get(key)
+        if distances is None:
+            distances = histograms[key] = _distance_histogram(key[1], c.n)
+        weights = [0] * (c.n + 1)
+        for w in c.words:
+            weights[w.bit_count()] += 1
+        stats.append(ClassStats(
+            size=len(c),
+            min_distance=next((d for d, count in enumerate(distances) if count), INFINITE_DISTANCE),
+            weight_distribution=tuple(weights),
+            distance_distribution=distances,
+        ))
+    return tuple(stats)
+
+
+def _distance_histogram(words, n: int) -> tuple[int, ...]:
+    """distances[d] counts the unordered pairs of words at distance d."""
     distances = [0] * (n + 1)
-    words = list(c.words)
+    words = list(words)
     for i, u in enumerate(words, start=1):
         for v in words[i:]:
             distances[(u ^ v).bit_count()] += 1
-    return ClassStats(
-        size=len(c),
-        min_distance=next((d for d, count in enumerate(distances) if count), INFINITE_DISTANCE),
-        weight_distribution=tuple(weights),
-        distance_distribution=tuple(distances),
-    )
+    return tuple(distances)
 
 
 class Violation(namedtuple("Violation", "kind words classes", defaults=((),))):
@@ -132,12 +157,13 @@ class VerifyReport(
 def verify_coloring(col: Coloring) -> VerifyReport:
     """Check that col partitions {0,1}^n into codes of minimum distance >= k+1.
 
-    Checking is all-pairs per class, O(sum M_i^2), rather than a probe of each
-    word's radius-k ball: the per-class stats need every pair's distance for
-    their histogram anyway, so a ball probe would add a walk without removing
-    one.  Only a class whose histogram shows a pair at distance <= k is walked
-    again, to name its witness pairs.  Every violation carries its witness
-    words; per-class stats are filled even for invalid colorings.
+    Distances are checked from the per-class histograms of classes_stats,
+    which walks all pairs once per translation class, O(M^2) for each
+    distinct key, rather than probing each word's radius-k ball: the stats
+    need those histograms anyway, so a ball probe would add a walk without
+    removing one.  Only a class whose histogram shows a pair at distance <= k
+    is walked again, to name its witness pairs.  Every violation carries its
+    witness words; per-class stats are filled even for invalid colorings.
 
     Violations are counted from the word counts and the histograms.  The
     witnesses are generated lazily in check order (duplicates, missing words,
@@ -148,7 +174,7 @@ def verify_coloring(col: Coloring) -> VerifyReport:
     numbered = list(enumerate(col.classes, start=1))
     # Built last class first, so each word maps to the first class holding it.
     first_seen = {w: idx for idx, c in reversed(numbered) for w in c.words}
-    stats = tuple(class_stats(c) for c in col.classes)
+    stats = classes_stats(col.classes)
     close_pairs = [sum(s.distance_distribution[1 : k + 1]) for s in stats]
     num_violations = (
         sum(map(len, col.classes)) - len(first_seen)  # repeated words
@@ -187,10 +213,10 @@ def fingerprint(col: Coloring) -> bytes:
     fingerprints; the converse is not claimed (this is an invariant, not a
     canonical form).
     """
-    return fingerprint_from_stats(col.params, [class_stats(c) for c in col.classes])
+    return fingerprint_from_stats(col.params, classes_stats(col.classes))
 
 
-def fingerprint_from_stats(params: Params, stats: list[ClassStats]) -> bytes:
+def fingerprint_from_stats(params: Params, stats: tuple[ClassStats, ...]) -> bytes:
     """fingerprint() of a coloring whose per-class stats are already computed."""
     entries = sorted((s.size, s.distance_distribution) for s in stats)
     body = ";".join(f"{size}:" + ",".join(map(str, dd[1:])) for size, dd in entries)

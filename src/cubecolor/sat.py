@@ -122,24 +122,30 @@ def coloring_cnf_stream(
 
 
 def _clauses(params: Params, options: EncodeOptions) -> Iterator[tuple[int, ...]]:
-    """The clauses of the coloring formula in their fixed order, one at a time."""
+    """The clauses of the coloring formula in their fixed order, one at a time.
+
+    Literals are ranges from each vertex's base v*K, var(v, c) being base + c,
+    so no literal costs a call.
+    """
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
-    for v in range(size):
-        yield tuple(var_index(v, c, num_colors) for c in range(1, num_colors + 1))
+
+    def negated(v: int) -> range:  # -var(v, 1), ..., -var(v, num_colors)
+        return range(-v * num_colors - 1, -(v + 1) * num_colors - 1, -1)
+
+    for base in range(0, size * num_colors, num_colors):
+        yield tuple(range(base + 1, base + num_colors + 1))
 
     masks = ball_masks(n, k)
     for u in range(size):
+        lits = negated(u)
         for v in sorted(u ^ m for m in masks):
-            if v < u:
-                continue
-            for c in range(1, num_colors + 1):
-                yield (-var_index(u, c, num_colors), -var_index(v, c, num_colors))
+            if v > u:
+                yield from zip(lits, negated(v))
 
     if options.at_most_one:
         for v in range(size):
-            for c1, c2 in combinations(range(1, num_colors + 1), 2):
-                yield (-var_index(v, c1, num_colors), -var_index(v, c2, num_colors))
+            yield from combinations(negated(v), 2)
 
     if options.symmetry == SYMMETRY_FIX_VERTEX_0:
         yield (var_index(0, 1, num_colors),)

@@ -9,7 +9,6 @@ because all randomness comes from per-restart seeded generators.
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
@@ -37,8 +36,8 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 #: tabu_search may estimate for a run before allocating it.  The estimates
 #: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 270, 558
 #: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 104 B per mask,
-#: set when its heap kept an entry per colored neighbor (100 B at n = 13..16,
-#: k = 2), against 31-62 B now that it keeps one per saturation rise (n = 8..13,
+#: set when a heap kept an entry per colored neighbor (100 B at n = 13..16,
+#: k = 2), against 6-37 B now that its buckets file each vertex once (n = 8..13,
 #: k = 1..5).
 MAX_SEARCH_BYTES = 1 << 30
 
@@ -170,14 +169,14 @@ def dsatur_color(params: Params) -> Coloring:
     """DSATUR (Brelaz 1979): color next the vertex that sees the most distinct colors.
 
     Ties break by the larger number of uncolored neighbors, then by the
-    smaller vertex value, making the run fully deterministic.  A heap keyed
-    (-saturation, -uncolored_degree, v) gives that order.  An entry is pushed
-    only when a saturation rises, so the degree in an entry may be stale, but
-    never below the true one: an entry of current saturation whose degree is
-    stale goes back with its current key, and one of stale saturation is
-    dropped.  A vertex's entry of current saturation therefore never sorts
-    after its true key, and the first one popped with a true key is the
-    vertex DSATUR colors next.
+    smaller vertex value, making the run fully deterministic.  Each uncolored
+    vertex is filed in buckets[s][d], s being its saturation and d its
+    uncolored degree, and the next vertex is the least of the highest bucket.
+    top bounds every filed saturation and dtop[s] every degree filed at s:
+    each rises when a vertex is filed above it, and a pick walks it down
+    past empty buckets, which are deleted.  A bucket is an ascending list,
+    not a set: at k = 1 the highest bucket holds about an eighth of the
+    vertices, and a min over a set that large made the run quadratic.
     """
     size = params.num_words
     _check_memory("DSATUR", 104 * ball_size(params.n, params.k) * size)
@@ -185,16 +184,23 @@ def dsatur_color(params: Params) -> Coloring:
     color_of = [UNASSIGNED] * size
     saturation: list[set[int]] = [set() for _ in range(size)]
     uncolored_degree = [len(masks)] * size
-    heap = [(0, -len(masks), v) for v in range(size)]  # already a heap: v ascends
+    buckets = [{len(masks): list(range(size))}]
+    dtop = [len(masks)]
+    top = 0
 
-    while heap:
-        neg_sat, neg_degree, v = heapq.heappop(heap)
+    for _ in range(size):
+        while not buckets[top]:
+            top -= 1
+        level = buckets[top]
+        d = dtop[top]
+        while d not in level:
+            d -= 1
+        dtop[top] = d
+        winners = level[d]
+        v = winners.pop(0)
+        if not winners:
+            del level[d]
         used = saturation[v]
-        if neg_sat != -len(used):
-            continue  # v's saturation rose since; a colored v keeps only such entries
-        if neg_degree != -uncolored_degree[v]:
-            heapq.heappush(heap, (neg_sat, -uncolored_degree[v], v))
-            continue
         c = 1
         while c in used:
             c += 1
@@ -202,11 +208,31 @@ def dsatur_color(params: Params) -> Coloring:
         for m in masks:
             u = v ^ m
             if color_of[u] == UNASSIGNED:
-                uncolored_degree[u] -= 1
                 seen = saturation[u]
+                s = len(seen)
+                d = uncolored_degree[u]
+                level = buckets[s]
+                bucket = level[d]
+                del bucket[bisect_left(bucket, u)]
+                if not bucket:
+                    del level[d]
+                d -= 1
+                uncolored_degree[u] = d
                 if c not in seen:
                     seen.add(c)
-                    heapq.heappush(heap, (-len(seen), -uncolored_degree[u], u))
+                    s += 1
+                    if s == len(buckets):
+                        buckets.append({})
+                        dtop.append(d)
+                    elif d > dtop[s]:
+                        dtop[s] = d
+                    top = max(top, s)
+                    level = buckets[s]
+                bucket = level.get(d)
+                if bucket is None:
+                    level[d] = [u]
+                else:
+                    insort(bucket, u)
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 

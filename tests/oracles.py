@@ -6,6 +6,7 @@ with no shared code paths, so agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
@@ -195,6 +196,46 @@ def reference_dsatur(params: Params) -> Coloring:
             if color_of[u] == UNASSIGNED:
                 saturation[u].add(c)
                 uncolored_degree[u] -= 1
+    return Assignment(Params(params.n, params.k), color_of).to_coloring()
+
+
+def heap_dsatur(params: Params) -> Coloring:
+    """DSATUR on one heap keyed (-saturation, -uncolored_degree, v).
+
+    Kept as the reference for search.dsatur_color's buckets; same rule and
+    ties as reference_dsatur, fast enough to compare up to n = 9.  An entry
+    is pushed only when a saturation rises, so the degree in an entry may be
+    stale, but never below the true one: an entry of current saturation whose
+    degree is stale goes back with its current key, and one of stale
+    saturation is dropped.
+    """
+    size = params.num_words
+    masks = ball_masks(params.n, params.k)
+    color_of = [UNASSIGNED] * size
+    saturation: list[set[int]] = [set() for _ in range(size)]
+    uncolored_degree = [len(masks)] * size
+    heap = [(0, -len(masks), v) for v in range(size)]  # already a heap: v ascends
+
+    while heap:
+        neg_sat, neg_degree, v = heapq.heappop(heap)
+        used = saturation[v]
+        if neg_sat != -len(used):
+            continue  # v's saturation rose since; a colored v keeps only such entries
+        if neg_degree != -uncolored_degree[v]:
+            heapq.heappush(heap, (neg_sat, -uncolored_degree[v], v))
+            continue
+        c = 1
+        while c in used:
+            c += 1
+        color_of[v] = c
+        for m in masks:
+            u = v ^ m
+            if color_of[u] == UNASSIGNED:
+                uncolored_degree[u] -= 1
+                seen = saturation[u]
+                if c not in seen:
+                    seen.add(c)
+                    heapq.heappush(heap, (-len(seen), -uncolored_degree[u], u))
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 

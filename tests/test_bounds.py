@@ -31,10 +31,50 @@ def test_default_table_contents():
 
 
 def test_default_table_agrees_with_exact_search_where_cheap():
-    # Guards the shipped numbers on every n where the exact search is fast.
+    # Guards the shipped numbers on every n where the exact search is fast,
+    # also through the even-distance identity.
     for (n, d), (value, _) in KNOWN_CODE_SIZES.items():
-        if n <= 7 or (n, d) == (8, 4):
+        if n <= 7:
             assert exact_max_code_size(n, d).value == value, (n, d)
+            assert exact_max_code_size(n + 1, d + 1).value == value, (n + 1, d + 1)
+
+
+def test_default_table_lists_odd_distances_only():
+    # A(n, 2t) = A(n-1, 2t-1) answers every even distance from an odd entry.
+    assert all(d % 2 for n, d in KNOWN_CODE_SIZES)
+
+
+@pytest.mark.parametrize(
+    "n,k,bound,value,odd",
+    [(8, 3, 16, 16, (7, 3)), (9, 3, 26, 20, (8, 3)), (10, 3, 26, 40, (9, 3)),
+     (11, 3, 29, 72, (10, 3))],
+)
+def test_chromatic_lower_bound_reduces_even_distances_to_the_table(n, k, bound, value, odd):
+    # Without the identity A(10,4) and A(11,4) each ran the exact search for
+    # about 25 s and then raised UnknownCodeSizeError.
+    got = chromatic_lower_bound(n, k)
+    assert got[:3] == (bound, SOURCE_TABLE, value)
+    assert got.citation == (
+        f"A({n},{k + 1}) = A({odd[0]},{odd[1]}), even-weight extension/shortening;"
+        f" {KNOWN_CODE_SIZES[odd][1]}"
+    )
+
+
+def test_exact_search_reduces_even_distances(monkeypatch):
+    # An even d searches A(n-1, d-1) over half the words; the range check
+    # still applies to n.
+    searched = []
+    real_search = bounds._branch_and_bound
+    monkeypatch.setattr(
+        bounds, "_branch_and_bound", lambda n, d, budget: searched.append((n, d))
+        or real_search(n, d, budget)
+    )
+    assert exact_max_code_size(7, 4) == (8, STATUS_EXACT)
+    assert exact_max_code_size(10, 6) == (6, STATUS_EXACT)
+    assert searched == [(6, 3), (9, 5)]
+    assert chromatic_lower_bound(7, 3) == (16, SOURCE_EXACT, 8, None)
+    with pytest.raises(ValueError, match="n=13 is out of exact-search range"):
+        exact_max_code_size(13, 4)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -15,13 +15,16 @@ from cubecolor.coloring import (
     CodeClass,
     Coloring,
     class_stats,
+    classes_stats,
     coloring_from_classes,
     fingerprint,
     transform_coloring,
     verify_coloring,
 )
+from cubecolor import coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Automorphism, Params, random_automorphism
+from cubecolor.search import greedy_color
 
 # {x, complement(x)} pairs have distance 3 in Q_3: a valid 4-coloring of Q_3^2.
 Q3_PAIRS = [[0, 7], [1, 6], [2, 5], [3, 4]]
@@ -102,6 +105,50 @@ def test_verify_distance_violation_carries_witness():
     assert (0, 3) in [v.words for v in report.violations]
     assert all(len(v.classes) == 1 for v in report.violations)
     assert len(report.per_class) == 4  # stats filled even when invalid
+
+
+@given(st.integers(0, 10**9))
+def test_shared_stats_equal_per_class_stats(seed):
+    # Cosets of a random linear code, translates of one random set (whose
+    # least words need not correspond), unrelated random sets, and empty and
+    # singleton classes, in a random order: sharing a histogram between
+    # classes must never change any class's stats.
+    rng = random.Random(seed)
+    n = rng.randrange(1, 7)
+    words = range(1 << n)
+    span = {0}
+    for _ in range(rng.randrange(0, n + 1)):
+        g = rng.randrange(1 << n)
+        span |= {w ^ g for w in span}
+    base = rng.sample(words, rng.randrange(0, min(6, 1 << n) + 1))
+    classes = []
+    for _ in range(rng.randrange(0, 9)):
+        t = rng.randrange(1 << n)
+        kind = rng.randrange(5)
+        if kind == 0:
+            c = {w ^ t for w in span}
+        elif kind == 1:
+            c = {w ^ t for w in base}
+        elif kind == 2:
+            c = rng.sample(words, rng.randrange(0, (1 << n) + 1))
+        else:
+            c = [t][: kind - 3]  # empty or a singleton
+        classes.append(CodeClass(frozenset(c), n))
+    assert classes_stats(classes) == tuple(class_stats(c) for c in classes)
+
+
+def test_greedy_cosets_share_one_walk(monkeypatch):
+    # Greedy's 16 classes of Q_8^2 are cosets of its first, a linear code, so
+    # one pair walk serves them all; the fixture's 13 classes need 13.
+    walks = []
+    real_walk = coloring._distance_histogram
+    monkeypatch.setattr(
+        coloring, "_distance_histogram", lambda words, n: walks.append(n) or real_walk(words, n)
+    )
+    for col, expected in ((greedy_color(Params(8, 2)), 1), (q8_square_13_coloring(), 13)):
+        walks.clear()
+        assert verify_coloring(col).valid
+        assert len(walks) == expected
 
 
 @given(st.integers(0, 10**9))

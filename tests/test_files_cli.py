@@ -9,6 +9,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -169,9 +170,22 @@ def test_cli_bound_n10_answers_from_the_table(capsys):
     assert lines[1].startswith("source: known-table, A(10,3) = 72 [Östergård, Baicheva, Kolev")
 
 
+def test_cli_bound_answers_even_distances_from_the_odd_entry(capsys):
+    # A(10,4) = A(9,3) = 40; without the identity this ran the exact search
+    # for about 25 s and exited 2.
+    start = time.perf_counter()
+    assert main(["bound", "--n", "10", "--k", "3"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == [
+        "26",  # ceil(1024/40)
+        "source: known-table, A(10,4) = 40 [A(10,4) = A(9,3), even-weight"
+        " extension/shortening; Best (1980); upper bound in Best et al. (1978)]",
+    ]
+
+
 def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
-    # A(10,6) is not cited; the clique-cover search settles it in 926 nodes,
-    # where it meets the Plotkin bound.
+    # Neither A(10,6) nor A(9,5) is cited; the clique-cover search settles
+    # A(9,5) in 926 nodes, where it meets the Plotkin bound.
     assert main(["bound", "--n", "10", "--k", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["171", "source: exact-computation, A(10,6) = 6"]  # ceil(1024/6)
@@ -430,32 +444,44 @@ def test_cli_stats(q3_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,walks",
     [
-        Q3_TEXT,
-        "n 3\nk 2\nclasses 4\nclass 0 1\nclass 2 5\nclass 3 4\nclass 6 7\n",  # distance
-        "n 2\nk 1\nclasses 3\nclass 0 3\nclass 0\nclass\n",  # duplicate, missing, empty
+        (Q3_TEXT, 1),
+        ("n 3\nk 2\nclasses 4\nclass 0 1\nclass 2 5\nclass 3 4\nclass 6 7\n", 2),  # distance
+        ("n 2\nk 1\nclasses 3\nclass 0 3\nclass 0\nclass\n", 3),  # duplicate, missing, empty
     ],
     ids=["valid", "distance-violation", "duplicate-word"],
 )
 def test_cli_stats_fingerprint_matches_library_and_walks_each_class_once(
-    text, tmp_path, capsys, monkeypatch
+    text, walks, tmp_path, capsys, monkeypatch
 ):
     path = tmp_path / "col.txt"
     path.write_text(text)
+    # Classes that are translates of each other by the difference of their
+    # least words share one pair walk: Q3_TEXT's four complement pairs are
+    # all {0, 7} translated, and the distance case has two keys, {0, 1} and
+    # {0, 7}.  Every class still gets its own line, equal to class_stats.
     walked = []
-    real_class_stats = coloring.class_stats
+    real_walk = coloring._distance_histogram
 
-    def counting(c):
-        walked.append(c)
-        return real_class_stats(c)
+    def counting(words, n):
+        walked.append(frozenset(words))
+        return real_walk(words, n)
 
-    monkeypatch.setattr(cli, "class_stats", counting)
-    monkeypatch.setattr(coloring, "class_stats", counting)
+    monkeypatch.setattr(coloring, "_distance_histogram", counting)
     assert main(["stats", str(path)]) == 0
+    monkeypatch.undo()
     col = load_coloring(text)
-    assert walked == list(col.classes)
+    keys = {frozenset(w ^ min(c.words, default=0) for w in c.words) for c in col.classes}
+    assert len(walked) == len(keys) == walks
+    assert set(walked) == keys
     lines = capsys.readouterr().out.splitlines()
+    for i, c in enumerate(col.classes, start=1):
+        s = coloring.class_stats(c)
+        assert lines[i].endswith(
+            f" weights={','.join(map(str, s.weight_distribution))}"
+            f" distances={','.join(map(str, s.distance_distribution[1:]))}"
+        )
     assert lines[-1] == f"fingerprint: {fingerprint(col).decode()}"
 
 
@@ -653,7 +679,7 @@ def _toolchain_lines(monkeypatch, tmp_path):
 
 def test_readme_and_benchmark_command_lines_take_the_fast_path(monkeypatch, tmp_path):
     lines = [*_readme_lines(), *_toolchain_lines(monkeypatch, tmp_path)]
-    assert len(lines) == 12 + 15
+    assert len(lines) == 13 + 15
     for argv in lines:
         fast = cli._parse_fast(argv)
         assert fast is not None, argv

@@ -105,6 +105,13 @@ def test_dsatur_matches_reference(n, k):
     assert save_coloring(dsatur_color(params)) == save_coloring(oracles.reference_dsatur(params))
 
 
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(0, 4))
+def test_dsatur_buckets_match_the_heap(n, k):
+    params = Params(n, min(k, n))
+    assert save_coloring(dsatur_color(params)) == save_coloring(oracles.heap_dsatur(params))
+
+
 def test_heuristic_color_counts_on_q8_square():
     # Frozen regression values for the deterministic heuristics on (n=8, k=2);
     # the chromatic number is 13, both heuristics overshoot.
@@ -359,9 +366,12 @@ def test_extend_double_always_valid_on_random_bases(seed):
 
 
 # Golden trajectories: (conflicts, iterations_used, restarts_used, seed_used,
-# sha256 of the saved best coloring).  A kernel change that alters which
-# coloring a seed reaches, or how fast, fails here.  q8k14-s3000,
-# q9-freeze16-s5, q9f13-fixture-s0 and q10k40-s0 match perfbench/pins.json.
+# sha256 of the saved best coloring, sha256 of every restart's final colors
+# and generator state).  A kernel change that alters which coloring a seed
+# reaches, or how fast, fails here; the last hash also fails one that alters
+# only moves after the best, such as a tenure the two fallback runs ignore.
+# q8k14-s3000, q9-freeze16-s5, q9f13-fixture-s0 and q10k40-s0 match
+# perfbench/pins.json in their first five values.
 # The K = 13 lift never solves; in 23 of its 750 iterations every minimum
 # color of the rows of least key is tabu and none aspirates, so the target
 # delta rises above the least key and rows of higher key are counted too.
@@ -378,7 +388,11 @@ GOLDEN_TRAJECTORIES = {
                 rng_seed=3000, max_iterations=30_000, restarts=29, self_check=self_check
             ),
         ),
-        [0, 3388, 0, 3000, "17c7ec110198ca4ffa844c47b46ee0450e3efb0493eb5e66e29a47d2a8fd0c61"],
+        [
+            0, 3388, 0, 3000,
+            "17c7ec110198ca4ffa844c47b46ee0450e3efb0493eb5e66e29a47d2a8fd0c61",
+            "087d65462b5468f286df06494de6a3140ff56cfdc6eefffb082e3cb4c1dc9ad1",
+        ],
     ),
     "q9-freeze16-s5": (
         lambda self_check=False: extend_to_higher_dim(
@@ -387,7 +401,11 @@ GOLDEN_TRAJECTORIES = {
             num_colors=16,
             config=SearchConfig(rng_seed=5, max_iterations=100_000, self_check=self_check),
         ),
-        [0, 3748, 0, 5, "86ddbdb20f022c7bef7ba025452a7c1afce6302cb2fc3884f03e7ef3892e5607"],
+        [
+            0, 3748, 0, 5,
+            "86ddbdb20f022c7bef7ba025452a7c1afce6302cb2fc3884f03e7ef3892e5607",
+            "c738f8afa8ea949a18bbf927759253237a9336f09da9fa0e972e495a958a444d",
+        ],
     ),
     "q9f13-fixture-s0": (
         lambda self_check=False: extend_to_higher_dim(
@@ -396,7 +414,11 @@ GOLDEN_TRAJECTORIES = {
             num_colors=13,
             config=SearchConfig(rng_seed=0, max_iterations=750, self_check=self_check),
         ),
-        [83, 750, 0, 0, "91346af2321cc1dd10445a8fd7a9d777f53575aac54fb2fed44dca3c91c5290c"],
+        [
+            83, 750, 0, 0,
+            "91346af2321cc1dd10445a8fd7a9d777f53575aac54fb2fed44dca3c91c5290c",
+            "beded15d2950bea4f27b2910c8172d95e974b3f673c4c043bed23140901f722f",
+        ],
     ),
     "q9-freeze14-s7-r3": (
         lambda self_check=False: extend_to_higher_dim(
@@ -407,7 +429,11 @@ GOLDEN_TRAJECTORIES = {
                 rng_seed=7, max_iterations=2_000, restarts=3, self_check=self_check
             ),
         ),
-        [7, 8000, 3, 8, "50e17aea1f38c269a92438c0b01a1f98b8aa01e9756447964a7958bfa84b5bf4"],
+        [
+            7, 8000, 3, 8,
+            "50e17aea1f38c269a92438c0b01a1f98b8aa01e9756447964a7958bfa84b5bf4",
+            "aec10db142173769885622969fa578c382f59b63dca878e0366aeec4d0076e11",
+        ],
     ),
     "q9-freeze15-s0": (
         lambda self_check=False: extend_to_higher_dim(
@@ -416,28 +442,44 @@ GOLDEN_TRAJECTORIES = {
             num_colors=15,
             config=SearchConfig(rng_seed=0, max_iterations=2_000, self_check=self_check),
         ),
-        [0, 1574, 0, 0, "5c31b43bb84cf56a6f47aba20f585bd0a48bfec9dd8f7614ae3edee100d4c632"],
+        [
+            0, 1574, 0, 0,
+            "5c31b43bb84cf56a6f47aba20f585bd0a48bfec9dd8f7614ae3edee100d4c632",
+            "b8c726bcaf6fd8e80b2153db49c61a497dd9a1c0c09a5f5cca8157e8deee3d1c",
+        ],
     ),
     "q10k40-s0": (
         lambda self_check=False: tabu_search(
             Params(10, 2, 40),
             SearchConfig(rng_seed=0, max_iterations=5_000, self_check=self_check),
         ),
-        [0, 372, 0, 0, "60e36c71be71c9bca752dee10954f6152375265357874cb764f389d387da9df2"],
+        [
+            0, 372, 0, 0,
+            "60e36c71be71c9bca752dee10954f6152375265357874cb764f389d387da9df2",
+            "c5dd65e5355e41380002c68dd0df645d721f174239fee0eeb3bfb17f7ea83fe7",
+        ],
     ),
     "q4k3-fallback": (
         lambda self_check=False: _with_tenure(1000, 0.6, lambda: tabu_search(
             Params(4, 2, 3),
             SearchConfig(rng_seed=1, max_iterations=2_000, self_check=self_check),
         )),
-        [18, 2000, 0, 1, "fbc64db2e4d92d543fcbbc68791b60bb8a304ff380ffe7f3f5dae8eacfc6ba09"],
+        [
+            18, 2000, 0, 1,
+            "fbc64db2e4d92d543fcbbc68791b60bb8a304ff380ffe7f3f5dae8eacfc6ba09",
+            "07578a9cf179197fe7fa28640b3d358cb099cb8baecf3bb930d746075822830e",
+        ],
     ),
     "q5k4-fallback": (
         lambda self_check=False: _with_tenure(50, 2.0, lambda: tabu_search(
             Params(5, 2, 4),
             SearchConfig(rng_seed=3, max_iterations=2_000, self_check=self_check),
         )),
-        [32, 2000, 0, 3, "442e21784b12614ffba75c7e945eb3bfb1bed787bf95bee6fb82c6634afed976"],
+        [
+            32, 2000, 0, 3,
+            "442e21784b12614ffba75c7e945eb3bfb1bed787bf95bee6fb82c6634afed976",
+            "6385be16e97def6c75b16675a260ee35d08d440beb6a636aeb3d9238652a8c02",
+        ],
     ),
 }
 
@@ -445,12 +487,27 @@ GOLDEN_TRAJECTORIES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
 def test_golden_trajectory(name):
     run, expected = GOLDEN_TRAJECTORIES[name]
-    assert _record(run()) == expected
+    assert _record(run) == expected
 
 
-def _record(out):
+def _record(run, self_check=False):
+    """The golden record of run(self_check=...): its outcome, then one sha256
+    of every restart's final colors and generator state.  The last pins the
+    whole walk, also where the best coloring came before the tenure mattered."""
+    finals = []
+    real_run = search._tabu_run
+
+    def recording(color_of, num_colors, masks, fixed, rng, config):
+        result = real_run(color_of, num_colors, masks, fixed, rng, config)
+        finals.append((color_of, rng.getstate()))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_tabu_run", recording)
+        out = run(self_check=self_check)
     digest = hashlib.sha256(save_coloring(out.best.to_coloring()).encode()).hexdigest()
-    return [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest]
+    walk = hashlib.sha256(repr(finals).encode()).hexdigest()
+    return [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest, walk]
 
 
 @pytest.mark.parametrize(
@@ -464,7 +521,7 @@ def test_golden_trajectory_under_self_check(monkeypatch, name):
     # entry and leave the moves unchanged.
     monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 25)
     run, expected = GOLDEN_TRAJECTORIES[name]
-    assert _record(run(self_check=True)) == expected
+    assert _record(run, self_check=True) == expected
 
 
 @settings(deadline=None)
@@ -557,14 +614,18 @@ def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
             colors, num, oracles.naive_neighbors(n + 1, k), frozenset(range(len(order))),
             random.Random(knobs["rng_seed"]), SearchConfig(**knobs), *tenure,
         )
-        out = extend_to_higher_dim(base, "freeze-subcube", num, SearchConfig(**knobs))
+
+        def lift(self_check=False):
+            return extend_to_higher_dim(
+                base, "freeze-subcube", num, SearchConfig(**knobs, self_check=self_check)
+            )
+
+        out = lift()
         assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
         assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
+        unchecked = _record(lift)
         patch.setattr(search, "SELF_CHECK_PERIOD", 1)
-        checked = extend_to_higher_dim(
-            base, "freeze-subcube", num, SearchConfig(**knobs, self_check=True)
-        )
-        assert _record(checked) == _record(out)
+        assert _record(lift, self_check=True) == unchecked
 
 
 def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):
