@@ -97,15 +97,22 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     code holds at most one word of a clique, so the word labelled l and the
     words covered before it add at most l code words.  Candidates are
     branched in reverse cover order, and a node is pruned once
-    chosen + label <= best.  The search ends, exact, as soon as best meets
-    the Plotkin bound.  A node is one include/exclude decision; exceeding
-    the budget returns the best size found so far.
+    chosen + label <= best, best starting at the lexicode's size (Conway &
+    Sloane 1986).  The search ends, exact, as soon as best meets the Plotkin
+    bound, before its first node when the lexicode does.  A node is one
+    include/exclude decision; exceeding the budget returns the best size
+    found so far.
     """
     adj = _conflict_adjacency(n, d)
     pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
     plotkin = _plotkin_bound(n, d)
 
-    best = 1
+    best = 0  # the lexicode's size: take the least word left, drop its ball
+    rest = (1 << (1 << n)) - 1
+    while rest:
+        low = rest & -rest
+        rest &= ~(low | adj[low.bit_length() - 1])
+        best += 1
     nodes = 0
     stopped = False
 
@@ -143,7 +150,8 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
             if stopped:
                 return
 
-    grow(1, pool0)
+    if best != plotkin:
+        grow(1, pool0)
     exact = best == plotkin or not stopped
     return CodeSizeResult(best, STATUS_EXACT if exact else STATUS_TIMEOUT)
 

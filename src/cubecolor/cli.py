@@ -126,13 +126,13 @@ def cmd_extend(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from .sat import EncodeOptions, coloring_cnf_stream, dimacs_lines
+    from .sat import EncodeOptions, coloring_cnf_stream, dimacs_block_lines
 
     params = Params(args.n, args.k, args.colors)
     options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
-    comments, num_vars, num_clauses, clauses = coloring_cnf_stream(params, options)
+    comments, num_vars, num_clauses, blocks = coloring_cnf_stream(params, options)
     with open(args.out, "w") as fh:
-        fh.writelines(dimacs_lines(comments, num_vars, num_clauses, clauses))
+        fh.writelines(dimacs_block_lines(comments, num_vars, num_clauses, blocks, args.colors))
     print(f"variables: {num_vars}")
     print(f"clauses: {num_clauses}")
     return 0

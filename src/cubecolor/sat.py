@@ -1,11 +1,11 @@
 """CNF encoding of "Q_n^k is K-colorable" plus DIMACS and model plumbing.
 
 Variable var(v, c) = v*K + c is "vertex v has color c" for v in [0, 2^n) and
-c in 1..K.  One generator, _clauses, fixes the clause order (at-least-one by
+c in 1..K.  One generator, _blocks, fixes the clause order (at-least-one by
 vertex, conflict clauses by (pair, color), optional at-most-one by vertex,
 symmetry units last), so generated files are byte-identical across runs.
-encode_coloring_cnf collects its clauses into a CnfFormula; the CLI's encode
-writes each clause as it is generated, so its memory stays flat.  The clauses
+encode_coloring_cnf expands its blocks into tuples held in a CnfFormula; the
+CLI's encode writes each block's text as it is generated.  The clauses
 are valid by construction (non-empty, literals in +-1..num_vars, never x with
 -x) for every input, so the encoder does not re-check them; the tests check
 them against an oracle.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 from collections.abc import Iterable, Iterator
 from itertools import combinations
+from operator import add
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
@@ -32,10 +33,15 @@ SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 #: the clauses as tuples, about 146 bytes per clause (2.0M clauses for
 #: (11,2,30) took 297 MiB) and 40 bytes per variable (4.2M variables in 2048
 #: clauses for (11,0,2048) took 175 MiB), so either bound keeps a formula under
-#: 1 GiB.  The CLI streams the clauses in about 15 MiB whatever their number;
-#: there the bound caps output size and run time (5.9M clauses for (12,2,37)
-#: are 99 MB of DIMACS, written in 8 s under CPython 3.11).
+#: 1 GiB.  The CLI streams the clauses in about 15 MiB, plus 145 bytes per
+#: variable when k > 0 or at-most-one is on (164 MiB for the 1.1M variables of
+#: (11,1,532)); there the bound caps output size and run time (5.9M clauses
+#: for (12,2,37) are 99 MB of DIMACS, written in 1.2 s under CPython 3.11).
 MAX_CLAUSES = 6_000_000
+
+
+#: A block of the coloring formula's clauses, (kind, a, b): see _blocks.
+Block = tuple[str, int, int | list[int]]
 
 
 class ModelDecodeError(ValueError):
@@ -79,11 +85,11 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     pins the radius-floor(k/2) ball around vertex 0, which is a clique of
     Q_n^k, to colors 1, 2, ...
     """
-    comments, num_vars, _, clauses = coloring_cnf_stream(params, options)
+    comments, num_vars, _, blocks = coloring_cnf_stream(params, options)
     enabled = gc.isenabled()
     gc.disable()  # the clause tuples form no cycles, but their number keeps triggering collections
     try:
-        return CnfFormula(num_vars, clauses, comments)
+        return CnfFormula(num_vars, _clauses(blocks, params.num_colors), comments)
     finally:
         if enabled:
             gc.enable()
@@ -91,11 +97,11 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
 
 def coloring_cnf_stream(
     params: Params, options: EncodeOptions | None = None
-) -> tuple[tuple[str, ...], int, int, Iterator[tuple[int, ...]]]:
-    """(comments, num_vars, num_clauses, clauses) of encode_coloring_cnf's
-    formula, with the clauses a generator that holds one clause at a time.
+) -> tuple[tuple[str, ...], int, int, Iterator[Block]]:
+    """(comments, num_vars, num_clauses, blocks) of encode_coloring_cnf's
+    formula, with blocks (see _blocks) a generator that holds one at a time.
 
-    Every check on params and options runs here, before the first clause is
+    Every check on params and options runs here, before the first block is
     generated, so a writer of the stream never leaves a partial file behind.
     """
     options = options or EncodeOptions()
@@ -118,41 +124,74 @@ def coloring_cnf_stream(
         f" symmetry={options.symmetry}",
         f"var(v,c) = v*{num_colors} + c, v in 0..{size - 1}, c in 1..{num_colors}",
     )
-    return comments, num_vars, count, _clauses(params, options)
+    return comments, num_vars, count, _blocks(params, options)
 
 
-def _clauses(params: Params, options: EncodeOptions) -> Iterator[tuple[int, ...]]:
-    """The clauses of the coloring formula in their fixed order, one at a time.
-
-    Literals are ranges from each vertex's base v*K, var(v, c) being base + c,
-    so no literal costs a call.
-    """
+def _blocks(params: Params, options: EncodeOptions) -> Iterator[Block]:
+    """The clauses of the coloring formula in their fixed order, as blocks that
+    _clauses expands into tuples and dimacs_block_lines into text: ("or", a, b)
+    is the clause (a, ..., b - 1), and with base_v = v*K = var(v, c) - c,
+    ("edges", base_u, [base_v, ...]) the K clauses (-var(u, c), -var(v, c)) of
+    each pair u < v in turn and ("amo", base_v, 0) v's at-most-one pairs."""
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
-
-    def negated(v: int) -> range:  # -var(v, 1), ..., -var(v, num_colors)
-        return range(-v * num_colors - 1, -(v + 1) * num_colors - 1, -1)
-
-    for base in range(0, size * num_colors, num_colors):
-        yield tuple(range(base + 1, base + num_colors + 1))
+    bases = range(0, size * num_colors, num_colors)
+    for base in bases:
+        yield "or", base + 1, base + num_colors + 1
 
     masks = ball_masks(n, k)
     for u in range(size):
-        lits = negated(u)
-        for v in sorted(u ^ m for m in masks):
-            if v > u:
-                yield from zip(lits, negated(v))
+        above = [bases[v] for v in sorted(u ^ m for m in masks) if v > u]
+        if above:  # every block holds a clause, so k = 0 has no edges block
+            yield "edges", bases[u], above
 
     if options.at_most_one:
-        for v in range(size):
-            yield from combinations(negated(v), 2)
+        for base in bases:
+            yield "amo", base, 0
 
     if options.symmetry == SYMMETRY_FIX_VERTEX_0:
-        yield (var_index(0, 1, num_colors),)
+        yield "or", 1, 2  # the unit clause var(0, 1)
     elif options.symmetry == SYMMETRY_FIX_CLIQUE:
         clique = [0, *ball_masks(n, k // 2)]  # pairwise distances <= 2*(k//2) <= k
         for c, w in enumerate(clique, start=1):
-            yield (var_index(w, c, num_colors),)
+            yield "or", bases[w] + c, bases[w] + c + 1
+
+
+def _clauses(blocks: Iterable[Block], num_colors: int) -> Iterator[tuple[int, ...]]:
+    """The clauses of the blocks as tuples, one at a time, with no call per literal."""
+    for kind, a, b in blocks:
+        negated = range(-a - 1, -a - num_colors - 1, -1)  # -(a + 1), ..., -(a + num_colors)
+        if kind == "edges":
+            for v in b:
+                yield from zip(negated, range(-v - 1, -v - num_colors - 1, -1))
+        elif kind == "or":
+            yield tuple(range(a, b))
+        else:
+            yield from combinations(negated, 2)
+
+
+def dimacs_block_lines(
+    comments: Iterable[str], num_vars: int, num_clauses: int,
+    blocks: Iterable[Block], num_colors: int,
+) -> Iterator[str]:
+    """dimacs_lines of the blocks' clauses, one string per block.  head[x] = "-x "
+    and tail[x] = "-x 0\n" are built once, so no clause of an edge costs a format."""
+    yield from dimacs_lines(comments, num_vars, num_clauses, ())
+    head: list[str] = []
+    span = num_colors + 1  # a vertex's literals are base + 1 .. base + num_colors
+    for kind, a, b in blocks:
+        if kind == "or":
+            yield ("%s " * (b - a) + "0\n") % tuple(range(a, b))
+            continue
+        if not head:  # built at the first pair of literals, so k = 0 builds none
+            head = [f"-{x} " for x in range(num_vars + 1)]
+            tail = [f"-{x} 0\n" for x in range(num_vars + 1)]
+        if kind == "edges":
+            lits = head[a + 1 : a + span]
+            for v in b:
+                yield "".join(map(add, lits, tail[v + 1 : v + span]))
+        else:
+            yield "".join([head[x] + tail[y] for x, y in combinations(range(a + 1, a + span), 2)])
 
 
 def expected_clause_count(params: Params, options: EncodeOptions | None = None) -> int:

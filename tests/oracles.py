@@ -13,7 +13,8 @@ import random
 from cubecolor.bounds import STATUS_EXACT, STATUS_TIMEOUT, CodeSizeResult
 from cubecolor.coloring import Coloring
 from cubecolor.hamming import Params, ball_masks
-from cubecolor.search import SELF_CHECK_PERIOD, UNASSIGNED, Assignment, SearchConfig
+from cubecolor.search import UNASSIGNED, Assignment, SearchConfig
+from cubecolor.tabu import SELF_CHECK_PERIOD
 
 
 def naive_distance(u: int, v: int) -> int:
@@ -251,10 +252,10 @@ def reference_tabu_run(
 ) -> tuple[list[int], int, int]:
     """The tabu kernel as first written: every (vertex, color) pair every iteration.
 
-    Kept verbatim as the bit-exact reference for search._tabu_run; returns
+    Kept verbatim as the bit-exact reference for tabu._tabu_run; returns
     (best_colors, best_conflicts, iters) and draws from rng identically.
     A reverted (vertex, old-color) pair stays tabu for int(base + slope *
-    conflicts) iterations: the tenure is passed in, not read from search.
+    conflicts) iterations: the tenure is passed in, not read from tabu.
 
     Each iteration moves one conflicted, non-frozen vertex to the color that
     minimizes the resulting conflict count over non-tabu moves; a tabu move is

@@ -185,7 +185,7 @@ def test_cli_bound_answers_even_distances_from_the_odd_entry(capsys):
 
 def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
     # Neither A(10,6) nor A(9,5) is cited; the clique-cover search settles
-    # A(9,5) in 926 nodes, where it meets the Plotkin bound.
+    # A(9,5) in 925 nodes, where it meets the Plotkin bound.
     assert main(["bound", "--n", "10", "--k", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["171", "source: exact-computation, A(10,6) = 6"]  # ceil(1024/6)
@@ -399,7 +399,8 @@ def test_cli_encode_checks_its_input_before_writing(tmp_path, capsys, argv, mess
 
 def test_cli_encode_streams_the_clauses(tmp_path, capsys):
     # Held as tuples, the 18,048 clauses of (7,2,10) peak at 2.8 MiB; written
-    # as they are generated, one clause at a time, encode peaks at 0.3 MiB.
+    # as they are generated, one block at a time from two strings per
+    # variable, encode peaks at 0.6 MiB.
     cnf_path = tmp_path / "q7.cnf"
     argv = ["encode", "--n", "7", "--k", "2", "--colors", "10", "--out", str(cnf_path)]
     tracemalloc.start()
@@ -411,6 +412,50 @@ def test_cli_encode_streams_the_clauses(tmp_path, capsys):
     assert peak < 1 << 20
     assert capsys.readouterr().out == "variables: 1280\nclauses: 18048\n"
     expected = write_dimacs(encode_coloring_cnf(Params(7, 2, 10)))
+    assert cnf_path.read_bytes() == expected.encode()
+
+
+def test_cli_encode_builds_no_literal_strings_without_a_pair(tmp_path, capsys):
+    # The writer's two strings per variable serve only clauses that pair two
+    # literals; with k = 0 and no at-most-one clauses there are none, so the
+    # 65,536 variables of (10,0,64) cost nothing, where building the strings
+    # would take about 9 MiB.
+    cnf_path = tmp_path / "q10.cnf"
+    argv = ["encode", "--n", "10", "--k", "0", "--colors", "64", "--out", str(cnf_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().out == "variables: 65536\nclauses: 1024\n"
+    assert cnf_path.read_bytes() == write_dimacs(encode_coloring_cnf(Params(10, 0, 64))).encode()
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_cli_encode_writes_the_library_formula_byte_for_byte(tmp_path_factory, seed):
+    # The CLI writes its text from clause blocks and cached literal strings,
+    # the library holds tuples; both expand the one block generator, so every
+    # option gives the same bytes as write_dimacs.
+    rng = random.Random(seed)
+    n = rng.randrange(1, 7)
+    k = rng.randrange(0, n + 1)
+    colors = rng.randrange(1, min(1 << n, 20) + 1)
+    amo = rng.random() < 0.5
+    symmetry = rng.choice(SYMMETRIES)
+    params, options = Params(n, k, colors), EncodeOptions(at_most_one=amo, symmetry=symmetry)
+    cnf_path = tmp_path_factory.mktemp("encode") / "out.cnf"
+    argv = ["encode", "--n", str(n), "--k", str(k), "--colors", str(colors),
+            "--symmetry", symmetry, *(["--amo"] if amo else []), "--out", str(cnf_path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    try:
+        expected = write_dimacs(encode_coloring_cnf(params, options))
+    except ValueError:  # fix-clique with fewer colors than the clique
+        assert code == 2 and not cnf_path.exists()
+        return
+    assert code == 0
     assert cnf_path.read_bytes() == expected.encode()
 
 
@@ -547,7 +592,7 @@ def test_cli_help_and_usage_errors_are_pinned(case, capsys, monkeypatch):
 
 # --- What each entry point loads ---
 
-SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search"}
+SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search", "tabu"}
 
 # Standard modules that cost start-up time and that no entry point needs
 # (pathlib alone pulls in urllib.parse and ipaddress; argparse brings gettext
@@ -578,11 +623,15 @@ ENTRY_POINTS = [
     ),
     pytest.param(
         ["search", "--n", "3", "--k", "2", "--colors", "4", "--algo", "greedy", "--out", "{out}"],
-        {"sat", "bounds"}, id="search",
+        {"sat", "bounds", "tabu"}, id="search",
+    ),
+    pytest.param(
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--algo", "dsatur", "--out", "{out}"],
+        {"sat", "bounds", "tabu"}, id="search-dsatur",
     ),
     pytest.param(
         ["extend", "--in", "{q3}", "--strategy", "double", "--out", "{out}"],
-        {"sat", "bounds"}, id="extend",
+        {"sat", "bounds", "tabu"}, id="extend",
     ),
 ]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cubecolor import search
+from cubecolor import search, tabu
 from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.files import save_coloring
@@ -18,7 +18,6 @@ from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params, ball_masks, ball_size
 from cubecolor.search import (
     Assignment,
-    _tabu_run,
     SearchConfig,
     assignment_from_coloring,
     conflict_count,
@@ -27,6 +26,7 @@ from cubecolor.search import (
     greedy_color,
     tabu_search,
 )
+from cubecolor.tabu import _tabu_run
 
 Q3_PARAMS = Params(3, 2, 4)
 Q3_COLORING = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5], [3, 4]])
@@ -211,7 +211,7 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
     # and their cursor, each vertex's own count and latest tabu expiry, and
     # each conflicted vertex's gamma row, row minimum and its count; a stale
     # entry raises AssertionError naming the iteration.
-    monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 1)
+    monkeypatch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
     assert run().iterations_used > 0
 
 
@@ -495,7 +495,7 @@ def _record(run, self_check=False):
     of every restart's final colors and generator state.  The last pins the
     whole walk, also where the best coloring came before the tenure mattered."""
     finals = []
-    real_run = search._tabu_run
+    real_run = tabu._tabu_run
 
     def recording(color_of, num_colors, masks, fixed, rng, config):
         result = real_run(color_of, num_colors, masks, fixed, rng, config)
@@ -503,7 +503,7 @@ def _record(run, self_check=False):
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_tabu_run", recording)
+        patch.setattr(tabu, "_tabu_run", recording)
         out = run(self_check=self_check)
     digest = hashlib.sha256(save_coloring(out.best.to_coloring()).encode()).hexdigest()
     walk = hashlib.sha256(repr(finals).encode()).hexdigest()
@@ -519,7 +519,7 @@ def test_golden_trajectory_under_self_check(monkeypatch, name):
     # runs few vertices stay conflicted, so most moves reuse a row minimum
     # and draw among ties.  Recounting every 25 moves must find no stale
     # entry and leave the moves unchanged.
-    monkeypatch.setattr(search, "SELF_CHECK_PERIOD", 25)
+    monkeypatch.setattr(tabu, "SELF_CHECK_PERIOD", 25)
     run, expected = GOLDEN_TRAJECTORIES[name]
     assert _record(run, self_check=True) == expected
 
@@ -552,7 +552,7 @@ def test_tabu_kernel_matches_reference(seed):
         # The same run recounting its whole state after every move: no entry
         # goes stale, and checking changes no move.
         checked_rng = random.Random(run_seed)
-        patch.setattr(search, "SELF_CHECK_PERIOD", 1)
+        patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
         checked = _tabu_run(
             list(colors), num, ball_masks(n, k), None, checked_rng,
             SearchConfig(**knobs, self_check=True),
@@ -564,7 +564,7 @@ def test_tabu_kernel_matches_reference(seed):
 def _random_knobs(rng, patch):
     """Iteration budget and tenure; a base of 100 or more forces the fallback move.
 
-    The tenure (base, slope) is set on search's constants through patch and
+    The tenure (base, slope) is set on the kernel's constants through patch and
     returned for the reference.
     """
     knobs = dict(max_iterations=rng.randrange(1, 400))
@@ -577,8 +577,8 @@ def _random_knobs(rng, patch):
 
 
 def _set_tenure(patch, base, slope):
-    patch.setattr(search, "TABU_TENURE_BASE", base)
-    patch.setattr(search, "TABU_TENURE_SLOPE", slope)
+    patch.setattr(tabu, "TABU_TENURE_BASE", base)
+    patch.setattr(tabu, "TABU_TENURE_SLOPE", slope)
 
 
 def _with_tenure(base, slope, run):
@@ -624,7 +624,7 @@ def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
         assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
         assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
         unchecked = _record(lift)
-        patch.setattr(search, "SELF_CHECK_PERIOD", 1)
+        patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
         assert _record(lift, self_check=True) == unchecked
 
 
@@ -638,8 +638,8 @@ def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):
         seen.append(fixed)
         return real(color_of, num_colors, masks, fixed, rng, config)
 
-    real = search._tabu_run
-    monkeypatch.setattr(search, "_tabu_run", spy)
+    real = tabu._tabu_run
+    monkeypatch.setattr(tabu, "_tabu_run", spy)
     base = q8_square_13_coloring()
     extend_to_higher_dim(base, "freeze-subcube", 13, SearchConfig(max_iterations=1))
     (fixed,) = seen
@@ -695,7 +695,7 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     tmax = [0] * 16
 
     def check(cursor=first, tally=conflicts):
-        search._check_state(
+        tabu._check_state(
             colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, cursor,
             tabu_until, tmax, tally, 7,
         )
