@@ -10,7 +10,7 @@ never load it.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .frozen import Frozen
@@ -29,8 +29,8 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 #: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 270, 558
 #: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 104 B per mask,
 #: set when a heap kept an entry per colored neighbor (100 B at n = 13..16,
-#: k = 2), against 6-37 B now that its buckets file each vertex once (n = 8..13,
-#: k = 1..5).
+#: k = 2), against 6-37 B now that one key files each vertex once (n = 8..13,
+#: k = 1..5; (13, 5) is refused), but 295-356 B at k = 0, which it undercounts.
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -128,21 +128,17 @@ def conflict_count(a: Assignment) -> int:
     return total // 2  # every conflicting pair is seen once from each end
 
 
-def greedy_color(params: Params, order: list[int] | None = None) -> Coloring:
-    """First-fit coloring along the given vertex order (natural order if None).
+def greedy_color(params: Params) -> Coloring:
+    """First-fit coloring in ascending vertex order.
 
     Always valid; uses at most 1 + (ball_size(n, k) - 1) colors since a vertex
     never needs more than its degree + 1.
     """
     size = params.num_words
     _check_memory("greedy coloring", 160 * size)
-    if order is None:
-        order = range(size)
-    elif sorted(order) != list(range(size)):
-        raise ValueError("order is not a permutation of the vertex set")
     masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
-    for v in order:
+    for v in range(size):
         used = {color_of[v ^ m] for m in masks}  # UNASSIGNED is never a color
         c = 1
         while c in used:
@@ -155,37 +151,32 @@ def dsatur_color(params: Params) -> Coloring:
     """DSATUR (Brelaz 1979): color next the vertex that sees the most distinct colors.
 
     Ties break by the larger number of uncolored neighbors, then by the
-    smaller vertex value, making the run fully deterministic.  Each uncolored
-    vertex is filed in buckets[s][d], s being its saturation and d its
-    uncolored degree, and the next vertex is the least of the highest bucket.
-    top bounds every filed saturation and dtop[s] every degree filed at s:
-    each rises when a vertex is filed above it, and a pick walks it down
-    past empty buckets, which are deleted.  A bucket is an ascending list,
-    not a set: at k = 1 the highest bucket holds about an eighth of the
-    vertices, and a min over a set that large made the run quadratic.
+    smaller vertex value, making the run fully deterministic.  Uncolored u
+    has one key, s * span + d for saturation s and uncolored degree d < span,
+    so key order is (s, d) order.  buckets files u under its key in an
+    ascending list of -u, so a pick pops the least vertex of the highest key
+    from the end; top rises when a key is filed above it and walks down past
+    emptied buckets, which are deleted.  A bucket is a list, not a set: at
+    k = 1 the highest holds about an eighth of the vertices, and a min over
+    a set that large made the run quadratic.
     """
     size = params.num_words
     _check_memory("DSATUR", 104 * ball_size(params.n, params.k) * size)
     masks = ball_masks(params.n, params.k)
+    span = len(masks) + 1
     color_of = [UNASSIGNED] * size
     saturation: list[set[int]] = [set() for _ in range(size)]
-    uncolored_degree = [len(masks)] * size
-    buckets = [{len(masks): list(range(size))}]
-    dtop = [len(masks)]
-    top = 0
+    key = [len(masks)] * size
+    buckets = defaultdict(list, {len(masks): list(range(1 - size, 1))})
+    top = len(masks)
 
     for _ in range(size):
-        while not buckets[top]:
+        while top not in buckets:
             top -= 1
-        level = buckets[top]
-        d = dtop[top]
-        while d not in level:
-            d -= 1
-        dtop[top] = d
-        winners = level[d]
-        v = winners.pop(0)
+        winners = buckets[top]
+        v = -winners.pop()
         if not winners:
-            del level[d]
+            del buckets[top]
         used = saturation[v]
         c = 1
         while c in used:
@@ -194,31 +185,19 @@ def dsatur_color(params: Params) -> Coloring:
         for m in masks:
             u = v ^ m
             if color_of[u] == UNASSIGNED:
-                seen = saturation[u]
-                s = len(seen)
-                d = uncolored_degree[u]
-                level = buckets[s]
-                bucket = level[d]
-                del bucket[bisect_left(bucket, u)]
+                ku = key[u]
+                bucket = buckets[ku]
+                del bucket[bisect_left(bucket, -u)]
                 if not bucket:
-                    del level[d]
-                d -= 1
-                uncolored_degree[u] = d
+                    del buckets[ku]
+                ku -= 1
+                seen = saturation[u]
                 if c not in seen:
                     seen.add(c)
-                    s += 1
-                    if s == len(buckets):
-                        buckets.append({})
-                        dtop.append(d)
-                    elif d > dtop[s]:
-                        dtop[s] = d
-                    top = max(top, s)
-                    level = buckets[s]
-                bucket = level.get(d)
-                if bucket is None:
-                    level[d] = [u]
-                else:
-                    insort(bucket, u)
+                    ku += span
+                    top = max(top, ku)
+                key[u] = ku
+                insort(buckets[ku], -u)
     return Assignment(Params(params.n, params.k), color_of).to_coloring()
 
 

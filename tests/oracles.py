@@ -123,6 +123,20 @@ def read_dimacs(text: str) -> tuple[list[str], int, int, list[tuple[int, ...]]]:
     return comments, num_vars, num_clauses, clauses
 
 
+def first_fit(params: Params, order: list[int]) -> Coloring:
+    """First-fit coloring along order: each vertex takes the least color that
+    no earlier vertex within distance 1..k has, found by scanning them all."""
+    color_of: dict[int, int] = {}
+    for v in order:
+        used = {c for u, c in color_of.items() if 1 <= naive_distance(u, v) <= params.k}
+        c = 1
+        while c in used:
+            c += 1
+        color_of[v] = c
+    colors = [color_of[v] for v in range(params.num_words)]
+    return Assignment(Params(params.n, params.k), colors).to_coloring()
+
+
 def reference_branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     """The exact code-size search as first written: popcount pruning only.
 

@@ -26,7 +26,7 @@ from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
 from cubecolor.sat import SYMMETRIES, EncodeOptions, encode_coloring_cnf, write_dimacs
-from cubecolor.search import SearchConfig, greedy_color
+from cubecolor.search import SearchConfig
 
 Q3_TEXT = "n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3 4\n"
 
@@ -57,7 +57,7 @@ def test_save_load_round_trip_random(seed):
     k = rng.randrange(1, n + 1)
     order = list(range(1 << n))
     rng.shuffle(order)
-    col = greedy_color(Params(n, k), order)
+    col = oracles.first_fit(Params(n, k), order)
     back = load_coloring(save_coloring(col))
     assert back.params == col.params
     assert back.classes == col.classes

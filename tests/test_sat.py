@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from cubecolor.coloring import coloring_from_classes, verify_coloring
 from cubecolor.hamming import Params
-from cubecolor.search import greedy_color
 from cubecolor.sat import (
     MAX_CLAUSES,
     CnfFormula,
@@ -229,7 +228,7 @@ def test_decoded_coloring_matches_solver_model_semantics(seed):
     rng = random.Random(seed)
     perm = list(range(8))
     rng.shuffle(perm)
-    col = greedy_color(Params(3, 2), perm)
+    col = oracles.first_fit(Params(3, 2), perm)
     params = Params(3, 2, len(col.classes))
     model = oracles.coloring_to_model(col)
     text = "v " + " ".join(str(x) for x in sorted(model)) + " 0\n"

@@ -83,14 +83,6 @@ def test_greedy_is_always_valid(n, k):
     assert len(col.classes) <= ball_size(n, k)  # degree + 1 bound
 
 
-def test_greedy_respects_custom_order():
-    order = list(reversed(range(8)))
-    col = greedy_color(Params(3, 2), order)
-    assert verify_coloring(col).valid
-    with pytest.raises(ValueError):
-        greedy_color(Params(3, 2), [0] * 8)
-
-
 @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 2), (5, 3), (6, 2)])
 def test_dsatur_is_always_valid(n, k):
     col = dsatur_color(Params(n, k))
@@ -110,6 +102,15 @@ def test_dsatur_matches_reference(n, k):
 def test_dsatur_buckets_match_the_heap(n, k):
     params = Params(n, min(k, n))
     assert save_coloring(dsatur_color(params)) == save_coloring(oracles.heap_dsatur(params))
+
+
+def test_dsatur_picks_in_constant_time_from_one_bucket():
+    # At k = 0 every vertex sits in one bucket for the whole run; a pick that
+    # shifts the bucket makes the run quadratic (about 2 s at n = 17).
+    start = time.perf_counter()
+    col = dsatur_color(Params(17, 0))
+    assert time.perf_counter() - start < 1
+    assert len(col.classes) == 1
 
 
 def test_heuristic_color_counts_on_q8_square():
@@ -359,7 +360,7 @@ def test_extend_double_always_valid_on_random_bases(seed):
     k = rng.randrange(1, n + 1)
     order = list(range(1 << n))
     rng.shuffle(order)
-    base = greedy_color(Params(n, k), order)  # valid by construction
+    base = oracles.first_fit(Params(n, k), order)  # valid by construction
     out = extend_to_higher_dim(base, "double")
     assert out.conflicts == 0
     assert verify_coloring(out.best.to_coloring()).valid
@@ -601,7 +602,7 @@ def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
     k = rng.randrange(0, n + 1)
     order = list(range(1 << n))
     rng.shuffle(order)
-    base = greedy_color(Params(n, k), order)
+    base = oracles.first_fit(Params(n, k), order)
     num = rng.randrange(len(base.classes), len(base.classes) + 3)
     with pytest.MonkeyPatch.context() as patch:
         knobs, tenure = _random_knobs(rng, patch)
