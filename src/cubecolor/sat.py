@@ -16,7 +16,6 @@ from __future__ import annotations
 import gc
 from collections.abc import Iterable, Iterator
 from itertools import combinations
-from operator import add
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
@@ -33,10 +32,9 @@ SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 #: the clauses as tuples, about 146 bytes per clause (2.0M clauses for
 #: (11,2,30) took 297 MiB) and 40 bytes per variable (4.2M variables in 2048
 #: clauses for (11,0,2048) took 175 MiB), so either bound keeps a formula under
-#: 1 GiB.  The CLI streams the clauses in about 15 MiB, plus 145 bytes per
-#: variable when k > 0 or at-most-one is on (164 MiB for the 1.1M variables of
-#: (11,1,532)); there the bound caps output size and run time (5.9M clauses
-#: for (12,2,37) are 99 MB of DIMACS, written in 1.2 s under CPython 3.11).
+#: 1 GiB.  The CLI streams the clauses in about 15 MiB; there the bound caps
+#: output size and run time (5.9M clauses for (12,2,37) are 99 MB of DIMACS,
+#: written in 1.2 s under CPython 3.11).
 MAX_CLAUSES = 6_000_000
 
 
@@ -174,24 +172,21 @@ def dimacs_block_lines(
     comments: Iterable[str], num_vars: int, num_clauses: int,
     blocks: Iterable[Block], num_colors: int,
 ) -> Iterator[str]:
-    """dimacs_lines of the blocks' clauses, one string per block.  head[x] = "-x "
-    and tail[x] = "-x 0\n" are built once, so no clause of an edge costs a format."""
+    """dimacs_lines of the blocks' clauses, one string per block.  An edges block
+    formats u's literals once into a template that each v fills, so the writer
+    holds strings for one vertex at a time, whatever the variable count."""
     yield from dimacs_lines(comments, num_vars, num_clauses, ())
-    head: list[str] = []
     span = num_colors + 1  # a vertex's literals are base + 1 .. base + num_colors
     for kind, a, b in blocks:
         if kind == "or":
             yield ("%s " * (b - a) + "0\n") % tuple(range(a, b))
-            continue
-        if not head:  # built at the first pair of literals, so k = 0 builds none
-            head = [f"-{x} " for x in range(num_vars + 1)]
-            tail = [f"-{x} 0\n" for x in range(num_vars + 1)]
-        if kind == "edges":
-            lits = head[a + 1 : a + span]
+        elif kind == "edges":
+            template = "".join([f"-{x} -%d 0\n" for x in range(a + 1, a + span)])
             for v in b:
-                yield "".join(map(add, lits, tail[v + 1 : v + span]))
+                yield template % tuple(range(v + 1, v + span))
         else:
-            yield "".join([head[x] + tail[y] for x, y in combinations(range(a + 1, a + span), 2)])
+            lits = [f"-{x}" for x in range(a + 1, a + span)]
+            yield "".join([f"{x} {y} 0\n" for x, y in combinations(lits, 2)])
 
 
 def expected_clause_count(params: Params, options: EncodeOptions | None = None) -> int:

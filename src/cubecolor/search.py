@@ -14,7 +14,7 @@ from collections import defaultdict, namedtuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .frozen import Frozen
-from .hamming import Params, ball_masks, ball_size
+from .hamming import Params, ball_masks
 
 #: color_of entry for a vertex not colored yet, while greedy, DSATUR or
 #: assignment_from_coloring fills the list; an Assignment never holds it.
@@ -27,10 +27,8 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
 #: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 270, 558
-#: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 104 B per mask,
-#: set when a heap kept an entry per colored neighbor (100 B at n = 13..16,
-#: k = 2), against 6-37 B now that one key files each vertex once (n = 8..13,
-#: k = 1..5; (13, 5) is refused), but 295-356 B at k = 0, which it undercounts.
+#: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 320 B against
+#: 78-280 B (n = 8..13, k = 0..5).
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -86,20 +84,14 @@ class SearchConfig(Frozen):
     the same answer as the sequential loop.
     """
 
-    __slots__ = ("rng_seed", "max_iterations", "restarts", "self_check")
+    __slots__ = ("rng_seed", "max_iterations", "restarts")
 
-    def __init__(
-        self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0,
-        self_check: bool = False,
-    ) -> None:
+    def __init__(self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0) -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        self._init(
-            rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts,
-            self_check=self_check,
-        )
+        self._init(rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts)
 
 
 class SearchOutcome(
@@ -151,21 +143,22 @@ def dsatur_color(params: Params) -> Coloring:
     """DSATUR (Brelaz 1979): color next the vertex that sees the most distinct colors.
 
     Ties break by the larger number of uncolored neighbors, then by the
-    smaller vertex value, making the run fully deterministic.  Uncolored u
-    has one key, s * span + d for saturation s and uncolored degree d < span,
-    so key order is (s, d) order.  buckets files u under its key in an
-    ascending list of -u, so a pick pops the least vertex of the highest key
-    from the end; top rises when a key is filed above it and walks down past
-    emptied buckets, which are deleted.  A bucket is a list, not a set: at
-    k = 1 the highest holds about an eighth of the vertices, and a min over
-    a set that large made the run quadratic.
+    smaller vertex value, making the run fully deterministic.  seen[u] is a
+    bitmask of the colors u's neighbors have, and uncolored u has one key,
+    s * span + d for saturation s and uncolored degree d < span, so key order
+    is (s, d) order.  buckets files u under its key in an ascending list of
+    -u, so a pick pops the least vertex of the highest key from the end; top
+    rises when a key is filed above it and walks down past emptied buckets,
+    which are deleted.  A bucket is a list, not a set: at k = 1 the highest
+    holds about an eighth of the vertices, and a min over a set that large
+    made the run quadratic.
     """
     size = params.num_words
-    _check_memory("DSATUR", 104 * ball_size(params.n, params.k) * size)
+    _check_memory("DSATUR", 320 * size)
     masks = ball_masks(params.n, params.k)
     span = len(masks) + 1
     color_of = [UNASSIGNED] * size
-    saturation: list[set[int]] = [set() for _ in range(size)]
+    seen = [1] * size  # bit c: a neighbor has color c; bit 0, UNASSIGNED, is always set
     key = [len(masks)] * size
     buckets = defaultdict(list, {len(masks): list(range(1 - size, 1))})
     top = len(masks)
@@ -177,11 +170,10 @@ def dsatur_color(params: Params) -> Coloring:
         v = -winners.pop()
         if not winners:
             del buckets[top]
-        used = saturation[v]
-        c = 1
-        while c in used:
-            c += 1
+        s = seen[v]
+        c = (~s & (s + 1)).bit_length() - 1  # the least color no neighbor has
         color_of[v] = c
+        bit = 1 << c
         for m in masks:
             u = v ^ m
             if color_of[u] == UNASSIGNED:
@@ -191,9 +183,8 @@ def dsatur_color(params: Params) -> Coloring:
                 if not bucket:
                     del buckets[ku]
                 ku -= 1
-                seen = saturation[u]
-                if c not in seen:
-                    seen.add(c)
+                if not seen[u] & bit:
+                    seen[u] |= bit
                     ku += span
                     top = max(top, ku)
                 key[u] = ku

@@ -11,11 +11,11 @@ from itertools import accumulate, chain
 
 from .search import SearchConfig, SearchOutcome
 
-#: Iterations between recounts, in self-check mode, of the tabu kernel's
-#: incremental state: the conflict tally, the key buckets and their cursor,
-#: every vertex's own count and latest tabu expiry, and every conflicted
-#: vertex's neighbor color counts, row minimum and its multiplicity.
-SELF_CHECK_PERIOD = 10_000
+#: Iterations between recounts of the tabu kernel's incremental state, 0 for
+#: none: the conflict tally, the key buckets and their cursor, every vertex's
+#: own count and latest tabu expiry, and every conflicted vertex's neighbor
+#: color counts, row minimum and its multiplicity.
+SELF_CHECK_PERIOD = 0
 
 #: Tabu tenure, the classic graph-coloring setting: a reverted (vertex,
 #: old-color) pair stays tabu for int(TABU_TENURE_BASE + TABU_TENURE_SLOPE *
@@ -168,7 +168,7 @@ def _tabu_run(
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
     tmax = [0] * len(color_of)
     base, slope = TABU_TENURE_BASE, TABU_TENURE_SLOPE
-    max_iterations, self_check = config.max_iterations, config.self_check
+    max_iterations, period = config.max_iterations, SELF_CHECK_PERIOD
     getrandbits = rng.getrandbits
 
     it = 0
@@ -323,7 +323,7 @@ def _tabu_run(
             best_conflicts = conflicts
             best_colors = list(color_of)
 
-        if self_check and it % SELF_CHECK_PERIOD == 0:
+        if period and it % period == 0:
             _check_state(
                 color_of, masks, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
                 conflicts, it,

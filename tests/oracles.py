@@ -10,11 +10,11 @@ import heapq
 import itertools
 import random
 
+import cubecolor.tabu
 from cubecolor.bounds import STATUS_EXACT, STATUS_TIMEOUT, CodeSizeResult
 from cubecolor.coloring import Coloring
 from cubecolor.hamming import Params, ball_masks
 from cubecolor.search import UNASSIGNED, Assignment, SearchConfig
-from cubecolor.tabu import SELF_CHECK_PERIOD
 
 
 def naive_distance(u: int, v: int) -> int:
@@ -269,7 +269,9 @@ def reference_tabu_run(
     Kept verbatim as the bit-exact reference for tabu._tabu_run; returns
     (best_colors, best_conflicts, iters) and draws from rng identically.
     A reverted (vertex, old-color) pair stays tabu for int(base + slope *
-    conflicts) iterations: the tenure is passed in, not read from tabu.
+    conflicts) iterations: the tenure is passed in, not read from tabu.  The
+    conflict tally is recounted every cubecolor.tabu.SELF_CHECK_PERIOD
+    iterations, read at call time (0: never).
 
     Each iteration moves one conflicted, non-frozen vertex to the color that
     minimizes the resulting conflict count over non-tabu moves; a tabu move is
@@ -291,6 +293,7 @@ def reference_tabu_run(
     best_colors = list(color_of)
     tabu_until = [[0] * (num_colors + 1) for _ in range(size)]
 
+    period = cubecolor.tabu.SELF_CHECK_PERIOD
     it = 0
     while it < config.max_iterations and conflicts > 0:
         it += 1
@@ -342,7 +345,7 @@ def reference_tabu_run(
             best_conflicts = conflicts
             best_colors = list(color_of)
 
-        if config.self_check and it % SELF_CHECK_PERIOD == 0:
+        if period and it % period == 0:
             recount = sum(color_of[u] == color_of[v] for v in range(size) for u in neighbors[v])
             recount //= 2
             if recount != conflicts:

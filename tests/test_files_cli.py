@@ -415,13 +415,13 @@ def test_cli_encode_streams_the_clauses(tmp_path, capsys):
     assert cnf_path.read_bytes() == expected.encode()
 
 
-def test_cli_encode_builds_no_literal_strings_without_a_pair(tmp_path, capsys):
-    # The writer's two strings per variable serve only clauses that pair two
-    # literals; with k = 0 and no at-most-one clauses there are none, so the
-    # 65,536 variables of (10,0,64) cost nothing, where building the strings
-    # would take about 9 MiB.
+@pytest.mark.parametrize("k,clauses", [(0, 1024), (1, 328704)])
+def test_cli_encode_memory_does_not_grow_with_the_variable_count(tmp_path, capsys, k, clauses):
+    # The writer holds strings for one vertex at a time, so the 65,536
+    # variables of (10,k,64) fit in 1 MiB; a string per variable, as a cache
+    # of literal strings would hold, takes about 9 MiB.
     cnf_path = tmp_path / "q10.cnf"
-    argv = ["encode", "--n", "10", "--k", "0", "--colors", "64", "--out", str(cnf_path)]
+    argv = ["encode", "--n", "10", "--k", str(k), "--colors", "64", "--out", str(cnf_path)]
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -429,13 +429,14 @@ def test_cli_encode_builds_no_literal_strings_without_a_pair(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert capsys.readouterr().out == "variables: 65536\nclauses: 1024\n"
-    assert cnf_path.read_bytes() == write_dimacs(encode_coloring_cnf(Params(10, 0, 64))).encode()
+    assert capsys.readouterr().out == f"variables: 65536\nclauses: {clauses}\n"
+    assert cnf_path.read_bytes() == write_dimacs(encode_coloring_cnf(Params(10, k, 64))).encode()
+
 
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_cli_encode_writes_the_library_formula_byte_for_byte(tmp_path_factory, seed):
-    # The CLI writes its text from clause blocks and cached literal strings,
+    # The CLI writes its text from clause blocks and per-vertex templates,
     # the library holds tuples; both expand the one block generator, so every
     # option gives the same bytes as write_dimacs.
     rng = random.Random(seed)

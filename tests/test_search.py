@@ -187,8 +187,9 @@ def test_tabu_init_validation():
         tabu_search(Params(3, 2, 2), None, Assignment(Params(3, 2), [3] * 8))
 
 
-def test_tabu_self_check_mode_runs_clean():
-    config = SearchConfig(rng_seed=0, max_iterations=25_000, self_check=True)
+def test_tabu_self_check_mode_runs_clean(monkeypatch):
+    monkeypatch.setattr(tabu, "SELF_CHECK_PERIOD", 10_000)
+    config = SearchConfig(rng_seed=0, max_iterations=25_000)
     out = tabu_search(Params(4, 2, 7), config)  # infeasible, so it runs full length
     assert out.iterations_used == 25_000
 
@@ -196,13 +197,12 @@ def test_tabu_self_check_mode_runs_clean():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: tabu_search(Params(5, 2, 5), SearchConfig(rng_seed=3, max_iterations=400, self_check=True)),
+        lambda: tabu_search(Params(5, 2, 5), SearchConfig(rng_seed=3, max_iterations=400)),
         lambda: _with_tenure(1000, 0.6, lambda: tabu_search(
-            Params(4, 2, 3), SearchConfig(rng_seed=1, max_iterations=400, self_check=True),
+            Params(4, 2, 3), SearchConfig(rng_seed=1, max_iterations=400),
         )),
         lambda: extend_to_higher_dim(
-            Q3_COLORING, "freeze-subcube", 5,
-            SearchConfig(rng_seed=5, max_iterations=400, self_check=True),
+            Q3_COLORING, "freeze-subcube", 5, SearchConfig(rng_seed=5, max_iterations=400),
         ),
     ],
     ids=["q5k5", "q4k3-fallback", "freeze-q4"],
@@ -226,8 +226,10 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
         )),
         ("greedy coloring", lambda: greedy_color(Params(10, 2))),
         ("DSATUR", lambda: dsatur_color(Params(10, 2))),
+        ("DSATUR", lambda: dsatur_color(Params(13, 0))),
+        ("DSATUR", lambda: dsatur_color(Params(9, 4))),
     ],
-    ids=["tabu-k2", "tabu-k40", "freeze-q9", "greedy", "dsatur"],
+    ids=["tabu-k2", "tabu-k40", "freeze-q9", "greedy", "dsatur", "dsatur-k0", "dsatur-k4"],
 )
 def test_memory_estimate_bounds_the_measured_peak(monkeypatch, what, run):
     # Under a limit one byte below the peak tracemalloc measured, the size
@@ -287,7 +289,7 @@ def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsy
         (lambda: tabu_search(Params(12, 2, 20), SearchConfig(max_iterations=1)),
          "tabu search would need about 2 MiB, above the limit of 1 MiB"),
         (lambda: greedy_color(Params(13, 2)), "greedy coloring would need about 1 MiB"),
-        (lambda: dsatur_color(Params(9, 2)), "DSATUR would need about 2 MiB"),
+        (lambda: dsatur_color(Params(12, 2)), "DSATUR would need about 1 MiB"),
     ):
         with pytest.raises(ValueError, match=message):
             run()
@@ -304,8 +306,8 @@ def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsy
         assert main(["search", "--n", "24", "--k", "2", *args, "--out", out]) == 2
         assert time.perf_counter() - start < 1
         assert message in capsys.readouterr().err
-    with pytest.raises(ValueError, match="DSATUR would need about 2002 MiB"):
-        dsatur_color(Params(17, 2))
+    with pytest.raises(ValueError, match="DSATUR would need about 1280 MiB"):
+        dsatur_color(Params(22, 2))
     assert not (tmp_path / "never-written.txt").exists()
 
 
@@ -383,11 +385,9 @@ def test_extend_double_always_valid_on_random_bases(seed):
 # 1968 and 815 of 2000.
 GOLDEN_TRAJECTORIES = {
     "q8k14-s3000": (
-        lambda self_check=False: tabu_search(
+        lambda: tabu_search(
             Params(8, 2, 14),
-            SearchConfig(
-                rng_seed=3000, max_iterations=30_000, restarts=29, self_check=self_check
-            ),
+            SearchConfig(rng_seed=3000, max_iterations=30_000, restarts=29),
         ),
         [
             0, 3388, 0, 3000,
@@ -396,11 +396,11 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q9-freeze16-s5": (
-        lambda self_check=False: extend_to_higher_dim(
+        lambda: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=16,
-            config=SearchConfig(rng_seed=5, max_iterations=100_000, self_check=self_check),
+            config=SearchConfig(rng_seed=5, max_iterations=100_000),
         ),
         [
             0, 3748, 0, 5,
@@ -409,11 +409,11 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q9f13-fixture-s0": (
-        lambda self_check=False: extend_to_higher_dim(
+        lambda: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=13,
-            config=SearchConfig(rng_seed=0, max_iterations=750, self_check=self_check),
+            config=SearchConfig(rng_seed=0, max_iterations=750),
         ),
         [
             83, 750, 0, 0,
@@ -422,13 +422,11 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q9-freeze14-s7-r3": (
-        lambda self_check=False: extend_to_higher_dim(
+        lambda: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=14,
-            config=SearchConfig(
-                rng_seed=7, max_iterations=2_000, restarts=3, self_check=self_check
-            ),
+            config=SearchConfig(rng_seed=7, max_iterations=2_000, restarts=3),
         ),
         [
             7, 8000, 3, 8,
@@ -437,11 +435,11 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q9-freeze15-s0": (
-        lambda self_check=False: extend_to_higher_dim(
+        lambda: extend_to_higher_dim(
             q8_square_13_coloring(),
             "freeze-subcube",
             num_colors=15,
-            config=SearchConfig(rng_seed=0, max_iterations=2_000, self_check=self_check),
+            config=SearchConfig(rng_seed=0, max_iterations=2_000),
         ),
         [
             0, 1574, 0, 0,
@@ -450,9 +448,9 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q10k40-s0": (
-        lambda self_check=False: tabu_search(
+        lambda: tabu_search(
             Params(10, 2, 40),
-            SearchConfig(rng_seed=0, max_iterations=5_000, self_check=self_check),
+            SearchConfig(rng_seed=0, max_iterations=5_000),
         ),
         [
             0, 372, 0, 0,
@@ -461,9 +459,9 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q4k3-fallback": (
-        lambda self_check=False: _with_tenure(1000, 0.6, lambda: tabu_search(
+        lambda: _with_tenure(1000, 0.6, lambda: tabu_search(
             Params(4, 2, 3),
-            SearchConfig(rng_seed=1, max_iterations=2_000, self_check=self_check),
+            SearchConfig(rng_seed=1, max_iterations=2_000),
         )),
         [
             18, 2000, 0, 1,
@@ -472,9 +470,9 @@ GOLDEN_TRAJECTORIES = {
         ],
     ),
     "q5k4-fallback": (
-        lambda self_check=False: _with_tenure(50, 2.0, lambda: tabu_search(
+        lambda: _with_tenure(50, 2.0, lambda: tabu_search(
             Params(5, 2, 4),
-            SearchConfig(rng_seed=3, max_iterations=2_000, self_check=self_check),
+            SearchConfig(rng_seed=3, max_iterations=2_000),
         )),
         [
             32, 2000, 0, 3,
@@ -491,8 +489,8 @@ def test_golden_trajectory(name):
     assert _record(run) == expected
 
 
-def _record(run, self_check=False):
-    """The golden record of run(self_check=...): its outcome, then one sha256
+def _record(run):
+    """The golden record of run(): its outcome, then one sha256
     of every restart's final colors and generator state.  The last pins the
     whole walk, also where the best coloring came before the tenure mattered."""
     finals = []
@@ -505,7 +503,7 @@ def _record(run, self_check=False):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tabu, "_tabu_run", recording)
-        out = run(self_check=self_check)
+        out = run()
     digest = hashlib.sha256(save_coloring(out.best.to_coloring()).encode()).hexdigest()
     walk = hashlib.sha256(repr(finals).encode()).hexdigest()
     return [out.conflicts, out.iterations_used, out.restarts_used, out.seed_used, digest, walk]
@@ -522,7 +520,7 @@ def test_golden_trajectory_under_self_check(monkeypatch, name):
     # entry and leave the moves unchanged.
     monkeypatch.setattr(tabu, "SELF_CHECK_PERIOD", 25)
     run, expected = GOLDEN_TRAJECTORIES[name]
-    assert _record(run, self_check=True) == expected
+    assert _record(run) == expected
 
 
 @settings(deadline=None)
@@ -554,10 +552,7 @@ def test_tabu_kernel_matches_reference(seed):
         # goes stale, and checking changes no move.
         checked_rng = random.Random(run_seed)
         patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
-        checked = _tabu_run(
-            list(colors), num, ball_masks(n, k), None, checked_rng,
-            SearchConfig(**knobs, self_check=True),
-        )
+        checked = _tabu_run(list(colors), num, ball_masks(n, k), None, checked_rng, config)
         assert checked == fast
         assert checked_rng.getstate() == fast_rng.getstate()
 
@@ -616,17 +611,15 @@ def test_freeze_subcube_lift_matches_reference_on_the_whole_cube(seed):
             random.Random(knobs["rng_seed"]), SearchConfig(**knobs), *tenure,
         )
 
-        def lift(self_check=False):
-            return extend_to_higher_dim(
-                base, "freeze-subcube", num, SearchConfig(**knobs, self_check=self_check)
-            )
+        def lift():
+            return extend_to_higher_dim(base, "freeze-subcube", num, SearchConfig(**knobs))
 
         out = lift()
         assert (out.best.color_of, out.conflicts, out.iterations_used) == ref
         assert (out.restarts_used, out.seed_used) == (0, knobs["rng_seed"])
         unchecked = _record(lift)
         patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
-        assert _record(lift, self_check=True) == unchecked
+        assert _record(lift) == unchecked
 
 
 def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):

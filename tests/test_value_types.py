@@ -78,7 +78,7 @@ FROZEN_TYPES = [
         id="EncodeOptions",
     ),
     pytest.param(
-        lambda: SearchConfig(rng_seed=3, self_check=True), lambda: SearchConfig(),
+        lambda: SearchConfig(rng_seed=3, restarts=2), lambda: SearchConfig(),
         "rng_seed", lambda: SearchConfig(max_iterations=0), "max_iterations must be positive",
         id="SearchConfig",
     ),
