@@ -12,7 +12,6 @@ import math
 from collections import namedtuple
 from itertools import chain, combinations, islice
 
-from .frozen import Frozen
 from .hamming import Automorphism, Params, apply_automorphism, check_word, hamming_distance
 
 #: Sentinel minimum distance of a code with fewer than two words.  Never a
@@ -24,16 +23,19 @@ INFINITE_DISTANCE = math.inf
 MAX_WITNESSES = 20
 
 
-class CodeClass(Frozen):
-    """One color class: a set of words of {0,1}^n."""
+class CodeClass(namedtuple("CodeClass", "words n")):
+    """One color class: a set of words of {0,1}^n.
 
-    __slots__ = ("words", "n")
+    len() is the word count, not the field count, so _make and _replace raise TypeError.
+    """
 
-    def __init__(self, words: frozenset[int], n: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, words: frozenset[int], n: int) -> CodeClass:
         words = frozenset(words)
         for w in words:
             check_word(w, n)
-        self._init(words=words, n=n)
+        return super().__new__(cls, words, n)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -42,7 +44,7 @@ class CodeClass(Frozen):
         return sorted(self.words)
 
 
-class Coloring(Frozen):
+class Coloring(namedtuple("Coloring", "params classes")):
     """A full color assignment for Q_n^k, viewed as a list of code classes.
 
     classes[i] holds the words of color i+1.  Some classes may be empty while
@@ -56,9 +58,9 @@ class Coloring(Frozen):
     itself is well-formed.
     """
 
-    __slots__ = ("params", "classes")
+    __slots__ = ()
 
-    def __init__(self, params: Params, classes: tuple[CodeClass, ...]) -> None:
+    def __new__(cls, params: Params, classes: tuple[CodeClass, ...]) -> Coloring:
         classes = tuple(classes)
         for i, c in enumerate(classes, start=1):
             if c.n != params.n:
@@ -69,7 +71,7 @@ class Coloring(Frozen):
             raise ValueError(
                 f"coloring declares {params.num_colors} colors but has {len(classes)} classes"
             )
-        self._init(params=params, classes=classes)
+        return super().__new__(cls, params, classes)
 
 
 def coloring_from_classes(params: Params, classes: list[list[int]] | list[frozenset[int]]) -> Coloring:

@@ -14,8 +14,8 @@ from .hamming import MAX_DIMENSION, Params
 
 
 class ColoringParseError(ValueError):
-    """Malformed text input (coloring file, solver model or code-size table);
-    the message names the offending line."""
+    """Malformed text input (coloring file or solver model); the message
+    names the offending line."""
 
 
 def content_lines(text: str, comment: str = "") -> list[tuple[int, str]]:

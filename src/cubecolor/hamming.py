@@ -7,17 +7,16 @@ bit-order convention.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 from math import comb
-
-from .frozen import Frozen
 
 # A word must fit comfortably in one machine word and full-space arrays
 # (2^n entries) must stay desk-scale.
 MAX_DIMENSION = 24
 
 
-class Params(Frozen):
+class Params(namedtuple("Params", "n k num_colors")):
     """Instance parameters: cube dimension n, power k, optional color count.
 
     (n, k) fixes the graph Q_n^k: vertices {0,1}^n, edges between words at
@@ -25,16 +24,16 @@ class Params(Frozen):
     being verified or searched for.
     """
 
-    __slots__ = ("n", "k", "num_colors")
+    __slots__ = ()
 
-    def __init__(self, n: int, k: int, num_colors: int | None = None) -> None:
+    def __new__(cls, n: int, k: int, num_colors: int | None = None) -> Params:
         if not 1 <= n <= MAX_DIMENSION:
             raise ValueError(f"dimension n must be in 1..{MAX_DIMENSION}, got {n}")
         if not 0 <= k <= n:
             raise ValueError(f"power k must be in 0..n={n}, got {k}")
         if num_colors is not None and not 1 <= num_colors <= 1 << n:
             raise ValueError(f"num_colors must be in 1..2^n, got {num_colors}")
-        self._init(n=n, k=k, num_colors=num_colors)
+        return super().__new__(cls, n, k, num_colors)
 
     @property
     def num_words(self) -> int:
@@ -84,7 +83,7 @@ def neighbors_within(v: int, params: Params) -> list[int]:
     return sorted([v ^ m for m in ball_masks(n, k)])
 
 
-class Automorphism(Frozen):
+class Automorphism(namedtuple("Automorphism", "perm translation")):
     """Distance-preserving map of {0,1}^n: permute coordinates, then XOR a word.
 
     Bit i of the input lands on bit perm[i] of the output, after which the
@@ -92,9 +91,9 @@ class Automorphism(Frozen):
     the Hamming space (hyperoctahedral group).
     """
 
-    __slots__ = ("perm", "translation")
+    __slots__ = ()
 
-    def __init__(self, perm: tuple[int, ...], translation: int = 0) -> None:
+    def __new__(cls, perm: tuple[int, ...], translation: int = 0) -> Automorphism:
         perm = tuple(perm)
         n = len(perm)
         if not 1 <= n <= MAX_DIMENSION:
@@ -103,7 +102,7 @@ class Automorphism(Frozen):
             raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
         if not 0 <= translation < 1 << n:
             raise ValueError(f"translation {translation} out of range for n={n}")
-        self._init(perm=perm, translation=translation)
+        return super().__new__(cls, perm, translation)
 
     @property
     def n(self) -> int:

@@ -14,12 +14,12 @@ them against an oracle.
 from __future__ import annotations
 
 import gc
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
 from .files import content_lines, parse_ints
-from .frozen import Frozen
 from .hamming import Params, ball_masks, ball_size
 
 SYMMETRY_NONE = "none"
@@ -46,26 +46,24 @@ class ModelDecodeError(ValueError):
     """A model leaves some vertex without a true color variable."""
 
 
-class CnfFormula(Frozen):
+class CnfFormula(namedtuple("CnfFormula", "num_vars clauses comments")):
     """A CNF formula, held as tuples; it checks nothing about its clauses."""
 
-    __slots__ = ("num_vars", "clauses", "comments")
+    __slots__ = ()
 
-    def __init__(
-        self, num_vars: int, clauses: Iterable[Iterable[int]], comments: Iterable[str] = ()
-    ) -> None:
-        self._init(
-            num_vars=num_vars, clauses=tuple(map(tuple, clauses)), comments=tuple(comments)
-        )
+    def __new__(
+        cls, num_vars: int, clauses: Iterable[Iterable[int]], comments: Iterable[str] = ()
+    ) -> CnfFormula:
+        return super().__new__(cls, num_vars, tuple(map(tuple, clauses)), tuple(comments))
 
 
-class EncodeOptions(Frozen):
-    __slots__ = ("at_most_one", "symmetry")
+class EncodeOptions(namedtuple("EncodeOptions", "at_most_one symmetry")):
+    __slots__ = ()
 
-    def __init__(self, at_most_one: bool = False, symmetry: str = SYMMETRY_NONE) -> None:
+    def __new__(cls, at_most_one: bool = False, symmetry: str = SYMMETRY_NONE) -> EncodeOptions:
         if symmetry not in SYMMETRIES:
             raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
-        self._init(at_most_one=at_most_one, symmetry=symmetry)
+        return super().__new__(cls, at_most_one, symmetry)
 
 
 def var_index(v: int, c: int, num_colors: int) -> int:

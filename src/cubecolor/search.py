@@ -13,8 +13,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
 
 from .coloring import Coloring, coloring_from_classes, verify_coloring
-from .frozen import Frozen
-from .hamming import Params, ball_masks
+from .hamming import Params, ball_masks, ball_size
 
 #: color_of entry for a vertex not colored yet, while greedy, DSATUR or
 #: assignment_from_coloring fills the list; an Assignment never holds it.
@@ -26,9 +25,10 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
-#: round up tracemalloc peaks per vertex: tabu 16 K + 256 B against 270, 558
-#: and 876 B at K = 2, 20, 40 (n = 14); greedy 110 B; DSATUR 320 B against
-#: 78-280 B (n = 8..13, k = 0..5).
+#: round up tracemalloc peaks: tabu 16 K + 256 B per vertex against 270-876 B
+#: at K = 2..40 (n = 14).  Greedy and DSATUR add 480 B for each of at most
+#: ball_size(n, k) colours, and DSATUR 4 B per vertex per 30 colours for its
+#: bitmasks, against peaks of 63-555 and 79-693 B per vertex (n = 8..13, k = 0..n).
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -76,7 +76,7 @@ def assignment_from_coloring(col: Coloring) -> Assignment:
     return Assignment(col.params, color_of)
 
 
-class SearchConfig(Frozen):
+class SearchConfig(namedtuple("SearchConfig", "rng_seed max_iterations restarts")):
     """Tabu/restart knobs.
 
     Restart r uses seed rng_seed + r; the best outcome across restarts wins,
@@ -84,14 +84,14 @@ class SearchConfig(Frozen):
     the same answer as the sequential loop.
     """
 
-    __slots__ = ("rng_seed", "max_iterations", "restarts")
+    __slots__ = ()
 
-    def __init__(self, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0) -> None:
+    def __new__(cls, rng_seed: int = 0, max_iterations: int = 100_000, restarts: int = 0) -> SearchConfig:
         if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if restarts < 0:
             raise ValueError("restarts must be nonnegative")
-        self._init(rng_seed=rng_seed, max_iterations=max_iterations, restarts=restarts)
+        return super().__new__(cls, rng_seed, max_iterations, restarts)
 
 
 class SearchOutcome(
@@ -127,7 +127,7 @@ def greedy_color(params: Params) -> Coloring:
     never needs more than its degree + 1.
     """
     size = params.num_words
-    _check_memory("greedy coloring", 160 * size)
+    _check_memory("greedy coloring", 160 * size + 480 * ball_size(params.n, params.k))
     masks = ball_masks(params.n, params.k)
     color_of = [UNASSIGNED] * size
     for v in range(size):
@@ -154,7 +154,8 @@ def dsatur_color(params: Params) -> Coloring:
     made the run quadratic.
     """
     size = params.num_words
-    _check_memory("DSATUR", 320 * size)
+    colors = ball_size(params.n, params.k)
+    _check_memory("DSATUR", (320 + colors // 7) * size + 480 * colors)
     masks = ball_masks(params.n, params.k)
     span = len(masks) + 1
     color_of = [UNASSIGNED] * size

@@ -593,7 +593,7 @@ def test_cli_help_and_usage_errors_are_pinned(case, capsys, monkeypatch):
 
 # --- What each entry point loads ---
 
-SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "frozen", "hamming", "sat", "search", "tabu"}
+SUBMODULES = {"bounds", "cli", "coloring", "files", "fixture", "hamming", "sat", "search", "tabu"}
 
 # Standard modules that cost start-up time and that no entry point needs
 # (pathlib alone pulls in urllib.parse and ipaddress; argparse brings gettext

@@ -225,11 +225,18 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
             q8_square_13_coloring(), "freeze-subcube", 13, SearchConfig(max_iterations=1)
         )),
         ("greedy coloring", lambda: greedy_color(Params(10, 2))),
+        ("greedy coloring", lambda: greedy_color(Params(10, 6))),
+        ("greedy coloring", lambda: greedy_color(Params(10, 10))),
         ("DSATUR", lambda: dsatur_color(Params(10, 2))),
         ("DSATUR", lambda: dsatur_color(Params(13, 0))),
         ("DSATUR", lambda: dsatur_color(Params(9, 4))),
+        ("DSATUR", lambda: dsatur_color(Params(9, 6))),
+        ("DSATUR", lambda: dsatur_color(Params(9, 9))),
     ],
-    ids=["tabu-k2", "tabu-k40", "freeze-q9", "greedy", "dsatur", "dsatur-k0", "dsatur-k4"],
+    ids=[
+        "tabu-k2", "tabu-k40", "freeze-q9", "greedy", "greedy-k6", "greedy-k10", "dsatur",
+        "dsatur-k0", "dsatur-k4", "dsatur-k6", "dsatur-k9",
+    ],
 )
 def test_memory_estimate_bounds_the_measured_peak(monkeypatch, what, run):
     # Under a limit one byte below the peak tracemalloc measured, the size
@@ -306,7 +313,7 @@ def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsy
         assert main(["search", "--n", "24", "--k", "2", *args, "--out", out]) == 2
         assert time.perf_counter() - start < 1
         assert message in capsys.readouterr().err
-    with pytest.raises(ValueError, match="DSATUR would need about 1280 MiB"):
+    with pytest.raises(ValueError, match="DSATUR would need about 1424 MiB"):
         dsatur_color(Params(22, 2))
     assert not (tmp_path / "never-written.txt").exists()
 

@@ -1,6 +1,8 @@
 """The value types' contract, and what importing the CLI loads."""
 
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -113,7 +115,14 @@ def test_frozen_value_type_contract(build, build_other, field, bad, message):
     assert a != build_other()
     assert hash(a) == hash(b)
 
+    for c in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert c == a and type(c) is type(a)
+
     if bad is not None:
         with pytest.raises(ValueError, match=re.escape(message)):
             bad()
+        # Unpickling runs the constructor, so it checks the fields again.
+        forged = pickle.dumps(tuple.__new__(type(a), [None] * len(type(a)._fields)))
+        with pytest.raises((TypeError, ValueError)):
+            pickle.loads(forged)
 
