@@ -13,6 +13,7 @@ minimum distance").
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 
 from .hamming import Params, ball_masks
 
@@ -156,7 +157,10 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     return CodeSizeResult(best, STATUS_EXACT if exact else STATUS_TIMEOUT)
 
 
-def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> CodeSizeResult:
+def exact_max_code_size(
+    n: int, d: int, budget: int = DEFAULT_NODE_BUDGET,
+    on_search: Callable[[int, int, int], object] | None = None,
+) -> CodeSizeResult:
     """Largest M such that an (n, M, d) code exists.
 
     d = 1 admits the whole space and d = 2 the even-weight words, so those
@@ -165,7 +169,9 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.  An even d
     searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
     of odd distance d - 1 makes its distance d; deleting a coordinate of a
-    code of distance d leaves d - 1), over half the words.
+    code of distance d leaves d - 1), over half the words.  on_search, when
+    given, is called with the (n, d, budget) searched just before the search
+    starts, and not at all when a closed form answers.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -183,6 +189,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
         raise ValueError(f"n={n} is out of exact-search range 1..{MAX_EXACT_DIMENSION}")
     if d % 2 == 0:
         n, d = n - 1, d - 1
+    if on_search is not None:
+        on_search(n, d, budget)
     return _branch_and_bound(n, d, budget)
 
 
@@ -200,13 +208,15 @@ class ChromaticBound(namedtuple("ChromaticBound", "bound source max_code_size ci
     __slots__ = ()
 
 
-def chromatic_lower_bound(n: int, k: int) -> ChromaticBound:
+def chromatic_lower_bound(
+    n: int, k: int, on_search: Callable[[int, int, int], object] | None = None
+) -> ChromaticBound:
     """Packing lower bound on the chromatic number of Q_n^k.
 
     A(n, k+1) is resolved from KNOWN_CODE_SIZES first, an even k+1 through
     A(n, k+1) = A(n - 1, k), then by exact computation.  If neither applies,
     UnknownCodeSizeError is raised: a silently weaker bound would be worse
-    than no answer.
+    than no answer.  on_search is passed to exact_max_code_size.
     """
     Params(n, k)  # ValueError naming the range, as for every other command
     d = k + 1
@@ -218,7 +228,7 @@ def chromatic_lower_bound(n: int, k: int) -> ChromaticBound:
             citation = f"A({n},{d}) = A({m},{e}), even-weight extension/shortening; {citation}"
         return ChromaticBound(packing_lower_bound(n, value), SOURCE_TABLE, value, citation)
     try:
-        value, status = exact_max_code_size(n, d)
+        value, status = exact_max_code_size(n, d, on_search=on_search)
     except ValueError as exc:  # n and d are in range, so only n is too large to search
         raise UnknownCodeSizeError(f"A({n},{d}) is unknown: not in the table and {exc}") from None
     if status != STATUS_EXACT:

@@ -26,7 +26,9 @@ MAX_WITNESSES = 20
 class CodeClass(namedtuple("CodeClass", "words n")):
     """One color class: a set of words of {0,1}^n.
 
-    len() is the word count, not the field count, so _make and _replace raise TypeError.
+    len() counts the words and `in` tests them, not the fields (words, n);
+    iteration still yields the fields, which pickling needs.  Because of
+    len(), _make and _replace raise TypeError.
     """
 
     __slots__ = ()
@@ -39,6 +41,9 @@ class CodeClass(namedtuple("CodeClass", "words n")):
 
     def __len__(self) -> int:
         return len(self.words)
+
+    def __contains__(self, word: object) -> bool:
+        return word in self.words
 
     def sorted_words(self) -> list[int]:
         return sorted(self.words)

@@ -146,7 +146,15 @@ def _tabu_run(
     best = top up, each vertex of key top..best, in ascending order, counts
     its non-tabu slots holding best + own[v], and best rises by one while
     none is found.  A vertex of key above best has no delta that low; best
-    stops at deg - 1, above every real delta.
+    stops at deg - 1, above every real delta.  In the first round (best =
+    top) those slots are v's nlow[v] minimum slots, so a v with tmax[v] < it
+    counts nlow[v] without reading its row, a tabu v with one minimum slot
+    reads that slot's expiry, and only a tabu v with several walks its row.
+
+    The best state is copied only when the search leaves it: a new best
+    conflict count marks color_of as the best colors, and it is copied
+    before the first move of delta >= 0 from it (a move of delta < 0 makes a
+    new best) or when the run ends.
 
     Ties are counted, not listed: ends holds the running total of the
     candidate vertices' tie counts, appended as each vertex is counted, and
@@ -163,8 +171,7 @@ def _tabu_run(
     nb, first = len(buckets), 0
     zero = [0] * (num_colors + 1)
 
-    best_conflicts = conflicts
-    best_colors = list(color_of)
+    best_conflicts, best_colors, pending = conflicts, [], True  # pending: color_of is the best
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
     tmax = [0] * len(color_of)
     base, slope = TABU_TENURE_BASE, TABU_TENURE_SLOPE
@@ -182,9 +189,26 @@ def _tabu_run(
         best = top
         any_color = top < best_conflicts - conflicts  # aspiration
         if not any_color:
-            vs, tie_vs, ends, total = tops, [], [], 0
-            while True:
-                for v in vs:
+            tie_vs, ends, total = [], [], 0
+            for v in tops:  # first round: v's ties at delta top are its nlow[v] minimum slots
+                n = nlow[v]
+                if tmax[v] >= it:  # some color is tabu: count only the others
+                    gv, tv, lo = gamma[v], tabu_until[v], low[v]
+                    if n == 1:
+                        n = tv[gv.index(lo)] < it
+                    else:
+                        rest, n, c = n, 0, -1
+                        while rest:
+                            c = gv.index(lo, c + 1)
+                            n += tv[c] < it
+                            rest -= 1
+                if n:
+                    total += n
+                    tie_vs.append(v)
+                    ends.append(total)
+            while not total and best < deg - 1:  # deg - 1 is above every real delta
+                best += 1
+                for v in sorted(chain.from_iterable(buckets[first : best + deg + 1])):
                     lo = best + own[v]
                     n = nlow[v] if lo == low[v] else gamma[v].count(lo)
                     if tmax[v] >= it:  # some color is tabu: count only the others
@@ -198,10 +222,6 @@ def _tabu_run(
                         total += n
                         tie_vs.append(v)
                         ends.append(total)
-                if total or best == deg - 1:  # deg - 1 is above every real delta
-                    break
-                best += 1
-                vs = sorted(chain.from_iterable(buckets[first : best + deg + 1]))
             any_color = not total  # forced fallback
         if any_color:
             best = top
@@ -226,6 +246,8 @@ def _tabu_run(
             while not (any_color or tv[c] < it):
                 c = gv.index(target, c + 1)
 
+        if pending and best >= 0:  # the move leaves the best state: save it first
+            best_colors, pending = list(color_of), False
         bucket = buckets[low[v] - p + deg]
         del bucket[bisect_left(bucket, v)]
         old = color_of[v]
@@ -320,15 +342,14 @@ def _tabu_run(
         conflicts += best
 
         if conflicts < best_conflicts:
-            best_conflicts = conflicts
-            best_colors = list(color_of)
+            best_conflicts, pending = conflicts, True
 
         if period and it % period == 0:
             _check_state(
                 color_of, masks, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
                 conflicts, it,
             )
-    return best_colors, best_conflicts, it
+    return list(color_of) if pending else best_colors, best_conflicts, it
 
 
 def _restarts(

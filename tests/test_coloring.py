@@ -1,6 +1,7 @@
 """Coloring model, verifier, statistics, fingerprint, and symmetry action."""
 
 import math
+import pickle
 import random
 from math import comb
 
@@ -41,6 +42,16 @@ def test_code_class_basics():
     assert CodeClass([1, 1, 2], 2).sorted_words() == [1, 2]  # coerces and dedups
     with pytest.raises(ValueError):
         CodeClass(frozenset([8]), 3)
+
+
+def test_code_class_membership_tests_its_words():
+    # As a namedtuple of (words, n), `in` would test the fields: 8, the
+    # fixture's n, would be in every class and a word of the class in none.
+    first = q8_square_13_coloring().classes[0]
+    assert 8 not in first.words and 18 in first.words
+    assert 8 not in first and 18 in first
+    assert [w for w in range(256) if w in first] == first.sorted_words()
+    assert pickle.loads(pickle.dumps(first)) == first  # pickling iterates the fields
 
 
 def test_min_distance_sentinel_and_values():

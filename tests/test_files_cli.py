@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cubecolor
 import oracles
-from cubecolor import cli, coloring, sat, search
+from cubecolor import bounds, cli, coloring, sat, search
 from cubecolor.cli import main
 from cubecolor.coloring import coloring_from_classes, fingerprint, verify_coloring
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
@@ -156,14 +156,16 @@ def test_cli_verify_missing_file(capsys):
 
 def test_cli_bound(capsys):
     assert main(["bound", "--n", "8", "--k", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines[0] == "13"
     assert "known-table" in lines[1] and "20" in lines[1]
+    assert captured.err == ""  # the table answers: no search, no budget line
 
 
 def test_cli_bound_n10_answers_from_the_table(capsys):
     # A(10,3) = 72 is cited, so no exact search runs (it would exhaust its
-    # node budget after about 33 s).
+    # 3 * 10**6-node budget after about 31 s on a 2-vCPU VM).
     assert main(["bound", "--n", "10", "--k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "15"  # ceil(1024/72)
@@ -185,10 +187,15 @@ def test_cli_bound_answers_even_distances_from_the_odd_entry(capsys):
 
 def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
     # Neither A(10,6) nor A(9,5) is cited; the clique-cover search settles
-    # A(9,5) in 925 nodes, where it meets the Plotkin bound.
+    # A(9,5) in 925 nodes, where it meets the Plotkin bound.  Before it
+    # starts, stderr names what it searches and its node budget.
     assert main(["bound", "--n", "10", "--k", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == ["171", "source: exact-computation, A(10,6) = 6"]  # ceil(1024/6)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "171", "source: exact-computation, A(10,6) = 6"  # ceil(1024/6)
+    ]
+    budget = bounds.DEFAULT_NODE_BUDGET
+    assert captured.err == f"exact search for A(10,6) = A(9,5), node budget {budget}\n"
 
 
 def test_cli_bound_unknown_is_operational_error(capsys):

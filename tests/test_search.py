@@ -564,6 +564,43 @@ def test_tabu_kernel_matches_reference(seed):
         assert checked_rng.getstate() == fast_rng.getstate()
 
 
+def _q4_run(budget):
+    """Q_4^1 at K = 3 from seed 17's colors: ((best, conflicts, iters), final colors).
+
+    The kernel's result must equal the reference's; final is where it stopped.
+    """
+    start = [random.Random(17).randrange(1, 4) for _ in range(16)]
+    final, config = list(start), SearchConfig(max_iterations=budget)
+    fast = _tabu_run(final, 3, ball_masks(4, 1), None, random.Random(17), config)
+    ref = oracles.reference_tabu_run(
+        list(start), 3, oracles.naive_neighbors(4, 1), frozenset(), random.Random(17), config,
+        tabu.TABU_TENURE_BASE, tabu.TABU_TENURE_SLOPE,
+    )
+    assert fast == ref
+    return fast, final
+
+
+def test_tabu_run_returns_a_best_its_budget_ends_on():
+    # The 12th move reaches a new best and the budget ends there, so the best
+    # colors are still the working ones, never copied; an earlier best (after
+    # 8 moves) had been left.
+    (best, conflicts, iters), final = _q4_run(12)
+    assert (iters, conflicts) == (12, 3) and best == final
+    assert oracles.naive_conflicts(4, 1, final) == 3
+    (earlier, earlier_conflicts, _), _ = _q4_run(9)
+    assert earlier_conflicts == 4 and earlier != best
+
+
+def test_tabu_run_saves_a_best_left_by_a_delta_zero_move():
+    # After 8 moves the working colors are the best; the 9th move has delta 0,
+    # so the best must be copied before it, not after.
+    (best_8, conflicts_8, _), final_8 = _q4_run(8)
+    assert best_8 == final_8
+    (best, conflicts, iters), final = _q4_run(9)
+    assert (best, conflicts, iters) == (best_8, conflicts_8, 9)
+    assert final != best and oracles.naive_conflicts(4, 1, final) == conflicts
+
+
 def _random_knobs(rng, patch):
     """Iteration budget and tenure; a base of 100 or more forces the fallback move.
 
