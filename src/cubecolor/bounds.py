@@ -12,8 +12,8 @@ minimum distance").
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from collections.abc import Callable
 
 from .hamming import Params, ball_masks
 
@@ -157,10 +157,7 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     return CodeSizeResult(best, STATUS_EXACT if exact else STATUS_TIMEOUT)
 
 
-def exact_max_code_size(
-    n: int, d: int, budget: int = DEFAULT_NODE_BUDGET,
-    on_search: Callable[[int, int, int], object] | None = None,
-) -> CodeSizeResult:
+def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> CodeSizeResult:
     """Largest M such that an (n, M, d) code exists.
 
     d = 1 admits the whole space and d = 2 the even-weight words, so those
@@ -169,9 +166,8 @@ def exact_max_code_size(
     budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.  An even d
     searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
     of odd distance d - 1 makes its distance d; deleting a coordinate of a
-    code of distance d leaves d - 1), over half the words.  on_search, when
-    given, is called with the (n, d, budget) searched just before the search
-    starts, and not at all when a closed form answers.
+    code of distance d leaves d - 1), over half the words.  The search may
+    run for minutes, so it names itself and its budget on stderr first.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -187,10 +183,11 @@ def exact_max_code_size(
         return CodeSizeResult(1, STATUS_EXACT)
     if n > MAX_EXACT_DIMENSION:
         raise ValueError(f"n={n} is out of exact-search range 1..{MAX_EXACT_DIMENSION}")
+    searched = f"A({n},{d})"
     if d % 2 == 0:
         n, d = n - 1, d - 1
-    if on_search is not None:
-        on_search(n, d, budget)
+        searched += f" = A({n},{d})"
+    print(f"exact search for {searched}, node budget {budget}", file=sys.stderr, flush=True)
     return _branch_and_bound(n, d, budget)
 
 
@@ -208,15 +205,13 @@ class ChromaticBound(namedtuple("ChromaticBound", "bound source max_code_size ci
     __slots__ = ()
 
 
-def chromatic_lower_bound(
-    n: int, k: int, on_search: Callable[[int, int, int], object] | None = None
-) -> ChromaticBound:
+def chromatic_lower_bound(n: int, k: int) -> ChromaticBound:
     """Packing lower bound on the chromatic number of Q_n^k.
 
     A(n, k+1) is resolved from KNOWN_CODE_SIZES first, an even k+1 through
     A(n, k+1) = A(n - 1, k), then by exact computation.  If neither applies,
     UnknownCodeSizeError is raised: a silently weaker bound would be worse
-    than no answer.  on_search is passed to exact_max_code_size.
+    than no answer.
     """
     Params(n, k)  # ValueError naming the range, as for every other command
     d = k + 1
@@ -228,7 +223,7 @@ def chromatic_lower_bound(
             citation = f"A({n},{d}) = A({m},{e}), even-weight extension/shortening; {citation}"
         return ChromaticBound(packing_lower_bound(n, value), SOURCE_TABLE, value, citation)
     try:
-        value, status = exact_max_code_size(n, d, on_search=on_search)
+        value, status = exact_max_code_size(n, d)
     except ValueError as exc:  # n and d are in range, so only n is too large to search
         raise UnknownCodeSizeError(f"A({n},{d}) is unknown: not in the table and {exc}") from None
     if status != STATUS_EXACT:

@@ -71,11 +71,7 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     from .bounds import chromatic_lower_bound
 
-    def announce(n: int, d: int, budget: int) -> None:  # the search may run for minutes
-        searched = f"A({args.n},{args.k + 1})" + (f" = A({n},{d})" if n != args.n else "")
-        print(f"exact search for {searched}, node budget {budget}", file=sys.stderr, flush=True)
-
-    result = chromatic_lower_bound(args.n, args.k, on_search=announce)
+    result = chromatic_lower_bound(args.n, args.k)
     print(result.bound)
     detail = f"A({args.n},{args.k + 1}) = {result.max_code_size}"
     if result.citation is not None:

@@ -146,10 +146,10 @@ def _tabu_run(
     best = top up, each vertex of key top..best, in ascending order, counts
     its non-tabu slots holding best + own[v], and best rises by one while
     none is found.  A vertex of key above best has no delta that low; best
-    stops at deg - 1, above every real delta.  In the first round (best =
-    top) those slots are v's nlow[v] minimum slots, so a v with tmax[v] < it
-    counts nlow[v] without reading its row, a tabu v with one minimum slot
-    reads that slot's expiry, and only a tabu v with several walks its row.
+    stops at deg - 1, above every real delta.  The first round (best = top)
+    has its own loop: there best + own[v] is low[v] for every v, so it
+    starts from nlow[v] with no arithmetic, and a tabu v with one minimum
+    slot reads that slot's expiry without a walk.
 
     The best state is copied only when the search leaves it: a new best
     conflict count marks color_of as the best colors, and it is copied

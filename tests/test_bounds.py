@@ -258,7 +258,7 @@ def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
     # exhausts its 3 * 10**6 nodes after about 31 s on a 2-vCPU VM.
     monkeypatch.delitem(bounds.KNOWN_CODE_SIZES, (10, 3))
     monkeypatch.setattr(
-        bounds, "exact_max_code_size", lambda n, d, on_search: CodeSizeResult(60, STATUS_TIMEOUT)
+        bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)
     )
     with pytest.raises(UnknownCodeSizeError) as exc:
         chromatic_lower_bound(10, 2)
