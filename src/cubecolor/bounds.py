@@ -98,23 +98,16 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
     code holds at most one word of a clique, so the word labelled l and the
     words covered before it add at most l code words.  Candidates are
     branched in reverse cover order, and a node is pruned once
-    chosen + label <= best, best starting at the lexicode's size (Conway &
-    Sloane 1986).  The search ends, exact, as soon as best meets the Plotkin
-    bound, before its first node when the lexicode does.  A node is one
-    include/exclude decision; exceeding the budget returns the best size
-    found so far.
+    chosen + label <= best, the size of the largest code found so far.  The
+    search ends, exact, as soon as best meets the Plotkin bound.  A node is
+    one include/exclude decision; exceeding the budget returns the best size
+    found so far.  The pair searched and the nodes spent go to stderr.
     """
     adj = _conflict_adjacency(n, d)
     pool0 = ((1 << (1 << n)) - 2) & ~adj[0]  # every word but 0 and its ball
     plotkin = _plotkin_bound(n, d)
 
-    best = 0  # the lexicode's size: take the least word left, drop its ball
-    rest = (1 << (1 << n)) - 1
-    while rest:
-        low = rest & -rest
-        rest &= ~(low | adj[low.bit_length() - 1])
-        best += 1
-    nodes = 0
+    best = nodes = 0
     stopped = False
 
     def grow(chosen: int, pool: int) -> None:
@@ -151,9 +144,10 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
             if stopped:
                 return
 
-    if best != plotkin:
-        grow(1, pool0)
+    grow(1, pool0)
     exact = best == plotkin or not stopped
+    spent = f"exact after {nodes}" if exact else f"node budget ran out after {budget}"
+    print(f"A({n},{d}): {spent} nodes", file=sys.stderr, flush=True)
     return CodeSizeResult(best, STATUS_EXACT if exact else STATUS_TIMEOUT)
 
 
@@ -167,7 +161,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
     of odd distance d - 1 makes its distance d; deleting a coordinate of a
     code of distance d leaves d - 1), over half the words.  The search may
-    run for minutes, so it names itself and its budget on stderr first.
+    run for minutes, so it names itself and its budget on stderr first, and
+    the nodes it spent when it ends.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")

@@ -43,10 +43,6 @@ def _load(path: str):
     return load_coloring(_read_text(path))
 
 
-def _fmt_distance(d) -> str:
-    return "inf" if d == float("inf") else str(d)
-
-
 def _status(report) -> str:
     return f"status: {'valid' if report.valid else f'invalid ({report.num_violations} violations)'}"
 
@@ -56,7 +52,7 @@ def cmd_verify(args) -> int:
     report = verify_coloring(col)
     print(f"coloring: n={col.params.n} k={col.params.k} classes={len(col.classes)}")
     for i, s in enumerate(report.per_class, start=1):
-        print(f"class {i}: size={s.size} min_distance={_fmt_distance(s.min_distance)}")
+        print(f"class {i}: size={s.size} min_distance={s.min_distance}")
     for v in report.violations:
         words = ",".join(map(str, v.words))
         cls = ",".join(map(str, v.classes))
@@ -159,7 +155,7 @@ def cmd_stats(args) -> int:
         weights = ",".join(map(str, s.weight_distribution))
         dists = ",".join(map(str, s.distance_distribution[1:]))
         print(
-            f"class {i}: size={s.size} min_distance={_fmt_distance(s.min_distance)}"
+            f"class {i}: size={s.size} min_distance={s.min_distance}"
             f" weights={weights} distances={dists}"
         )
     print(f"fingerprint: {fingerprint_from_stats(col.params, stats).decode()}")

@@ -217,11 +217,12 @@ def tabu_search(
 
     from .tabu import _restarts
 
-    out = _restarts(
-        params.num_words, num_colors, ball_masks(params.n, params.k), None, config,
+    unfixed = [[0] * (num_colors + 1)] * params.num_words  # one shared row, never written
+    best, *counts = _restarts(
+        num_colors, ball_masks(params.n, params.k), unfixed, config,
         None if init is None else init.color_of,
     )
-    return out._replace(best=Assignment(params, out.best))
+    return SearchOutcome(Assignment(params, best), *counts)
 
 
 def extend_to_higher_dim(
@@ -281,7 +282,7 @@ def extend_to_higher_dim(
                 row[base_colors[x ^ m]] += 1
         rng = random.Random(config.rng_seed)
         first = [rng.randrange(1, num_colors + 1) for _ in base_colors]
-        out = _restarts(len(base_colors), num_colors, ball_masks(n, k), fixed, config, first)
-        return out._replace(best=Assignment(params_out, base_colors + out.best))
+        best, *counts = _restarts(num_colors, ball_masks(n, k), fixed, config, first)
+        return SearchOutcome(Assignment(params_out, base_colors + best), *counts)
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -9,7 +9,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, chain
 
-from .search import SearchConfig, SearchOutcome
+# search.SearchConfig is named in annotations only: the kernel imports no cubecolor module.
 
 #: Iterations between recounts of the tabu kernel's incremental state, 0 for
 #: none: the conflict tally, the key buckets and their cursor, every vertex's
@@ -25,13 +25,13 @@ TABU_TENURE_SLOPE = 0.6
 
 
 def _fresh_state(
-    color_of: list[int], num_colors: int, masks: list[int], fixed: list[list[int]] | None
+    color_of: list[int], num_colors: int, masks: list[int], fixed: list[list[int]]
 ) -> tuple[list[list[int]], list[int], list[int], list[int], list[list[int]], int]:
     """_tabu_run's state counted from color_of: gamma, own, low, nlow, buckets, conflicts."""
     size = len(color_of)
-    deg = len(masks) + (sum(fixed[0]) if fixed else 0)  # every vertex's full degree
+    deg = len(masks) + sum(fixed[0])  # every vertex's full degree
     sentinel = 2 * deg  # a masked slot's delta, at least deg, stays above every real delta
-    gamma = [list(row) for row in fixed] if fixed else [[0] * (num_colors + 1) for _ in color_of]
+    gamma = [list(row) for row in fixed]
     own, low, nlow = [0] * size, [0] * size, [0] * size
     buckets: list[list[int]] = [[] for _ in range(2 * deg)]
     for v, cv in enumerate(color_of):
@@ -44,12 +44,12 @@ def _fresh_state(
         nlow[v] = gv.count(lo)
         if own[v] and num_colors > 1:
             buckets[lo - own[v] + deg].append(v)
-    fixed_pairs = sum(row[cv] for row, cv in zip(fixed, color_of)) if fixed else 0
+    fixed_pairs = sum(row[cv] for row, cv in zip(fixed, color_of))
     return gamma, own, low, nlow, buckets, (sum(own) + fixed_pairs) // 2  # own counts those once
 
 
 def _check_state(
-    color_of: list[int], masks: list[int], fixed: list[list[int]] | None,
+    color_of: list[int], masks: list[int], fixed: list[list[int]],
     gamma: list[list[int]], own: list[int], low: list[int], nlow: list[int],
     buckets: list[list[int]], first: int, tabu_until: list[list[int]], tmax: list[int],
     conflicts: int, it: int,
@@ -91,7 +91,7 @@ def _tabu_run(
     color_of: list[int],
     num_colors: int,
     masks: list[int],
-    fixed: list[list[int]] | None,
+    fixed: list[list[int]],
     rng: random.Random,
     config: SearchConfig,
 ) -> tuple[list[int], int, int]:
@@ -106,9 +106,9 @@ def _tabu_run(
     the search always progresses.
 
     The neighbors of v are v ^ m for m in masks (hamming.ball_masks), XORed
-    afresh wherever they are needed; no per-vertex list is built.  fixed[v],
-    when given, counts by color v's neighbors that never move (a lift's
-    lower copy); deg, v's full degree, adds their number to len(masks).  A
+    afresh wherever they are needed; no per-vertex list is built.  fixed[v]
+    counts by color v's neighbors that never move (a lift's lower copy, all
+    zero otherwise); deg, v's full degree, adds their number to len(masks).  A
     move changes only the rows of the moved vertex and its conflicted
     neighbors, so each neighbor u is dispatched on own[u] first: a conflicted
     u has its row, own count and key updated for its color being old, c or
@@ -169,7 +169,6 @@ def _tabu_run(
     gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, masks, fixed)
     deg, sentinel = len(buckets) // 2, gamma[0][0]  # slot 0 always holds the sentinel
     nb, first = len(buckets), 0
-    zero = [0] * (num_colors + 1)
 
     best_conflicts, best_colors, pending = conflicts, [], True  # pending: color_of is the best
     tabu_until = [[0] * (num_colors + 1) for _ in color_of]
@@ -307,7 +306,7 @@ def _tabu_run(
             elif color_of[u] == c:  # own[u] rises from 0: the row went stale meanwhile
                 o = own[u] = 1
                 gu = gamma[u]
-                gu[:] = fixed[u] if fixed else zero
+                gu[:] = fixed[u]
                 for w in masks:
                     gu[color_of[u ^ w]] += 1
                 gu[0] = gu[c] = sentinel
@@ -353,14 +352,15 @@ def _tabu_run(
 
 
 def _restarts(
-    size: int, num_colors: int, masks: list[int], fixed: list[list[int]] | None,
-    config: SearchConfig, first: list[int] | None,
-) -> SearchOutcome:
-    """The restart loop of tabu_search and of the lift, best being a color list.
+    num_colors: int, masks: list[int], fixed: list[list[int]], config: SearchConfig,
+    first: list[int] | None,
+) -> tuple[list[int], int, int, int, int]:
+    """The restart loop of tabu_search and of the lift, over one vertex per row of fixed.
 
-    Restart r starts from first (r = 0, when given) or from uniform random
-    colors drawn from random.Random(rng_seed + r), then runs _tabu_run on
-    that generator.  Stops early when a restart reaches zero conflicts.
+    Returns the fields of a SearchOutcome, best being a color list.  Restart
+    r starts from first (r = 0, when given) or from uniform random colors
+    drawn from random.Random(rng_seed + r), then runs _tabu_run on that
+    generator.  Stops early when a restart reaches zero conflicts.
     """
     best_colors: list[int] = []
     best_conflicts = best_seed = -1
@@ -372,7 +372,7 @@ def _restarts(
         if first is not None and r == 0:
             colors = list(first)
         else:
-            colors = [rng.randrange(1, num_colors + 1) for _ in range(size)]
+            colors = [rng.randrange(1, num_colors + 1) for _ in fixed]
         run_best, run_conflicts, iters = _tabu_run(colors, num_colors, masks, fixed, rng, config)
         total_iters += iters
         if r == 0 or run_conflicts < best_conflicts:
@@ -380,4 +380,4 @@ def _restarts(
         if best_conflicts == 0:
             break
 
-    return SearchOutcome(best_colors, best_conflicts, total_iters, r, best_seed)
+    return best_colors, best_conflicts, total_iters, r, best_seed

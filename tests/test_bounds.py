@@ -112,42 +112,27 @@ def test_search_matches_reference_branch_and_bound(n, d):
 
 @pytest.mark.parametrize(
     "n,d,value,nodes",
-    [(9, 5, 6, 925), (10, 6, 6, 925)],
-    ids=["9-5", "10-6"],  # not the counts, which a re-pin changes
+    [(9, 5, 6, 926), (10, 6, 6, 926), (7, 3, 16, 6003), (8, 4, 16, 6051)],
+    ids=["9-5", "10-6", "7-3", "8-4"],  # not the counts, which a re-pin changes
 )
 def test_search_node_counts_are_pinned(n, d, value, nodes):
-    # The lexicode has 4 words, below the Plotkin bound of 6, so the search
-    # runs: the clique-cover bound settles these in the pinned number of nodes
-    # (the popcount bound needed 286,487 for (10,6)).  The search stops where
-    # it meets the Plotkin bound; it went on to 13,908 nodes to prove nothing
-    # larger exists.  A weaker prune, another branching order, a later stop
-    # or a smaller starting code changes the count (starting from 1 word,
-    # both took 926).
+    # The search starts from word 0 alone and stops where it meets the
+    # Plotkin bound: 6 for the first two, 16 (the Hamming code and its
+    # extension) for the last two.  The clique-cover bound settles these in
+    # the pinned number of nodes (the popcount bound needed 286,487 for
+    # (10,6)); without the stop (10,6) went on to 13,908 nodes to prove
+    # nothing larger exists.  A weaker prune, another branching order, a
+    # later stop or another starting code changes the count.
     assert _branch_and_bound(n, d, nodes) == (value, STATUS_EXACT)
     assert _branch_and_bound(n, d, nodes - 1).status == STATUS_TIMEOUT
 
 
-@pytest.mark.parametrize("n,d,value", [(7, 3, 16), (8, 4, 16)], ids=["7-3", "8-4"])
-def test_lexicode_meeting_the_plotkin_bound_settles_without_a_node(n, d, value):
-    # The search starts from the lexicode, here the Hamming code and its
-    # extension, whose size is Plotkin's bound: it is exact with no node at
-    # all.  Starting from 1 word the clique-cover search took 6,003 and 6,051.
-    assert _branch_and_bound(n, d, 0) == (value, STATUS_EXACT)
-    assert exact_max_code_size(n, d, budget=1) == (value, STATUS_EXACT)
-
-
 def test_search_stops_at_the_plotkin_bound():
     # A(12,7) = 4 = 2 * floor(8 / 3), Plotkin's bound at (13, 8): the search
-    # ends exact as soon as it has a 4-word code, here the lexicode.  Without
-    # the stop it had to refute every 5-word code, 2.8 s through
+    # ends exact as soon as it has a 4-word code, after 3 nodes.  Without the
+    # stop it had to refute every 5-word code, 2.8 s through
     # `bound --n 12 --k 6`.
     assert exact_max_code_size(12, 7, budget=10) == (4, STATUS_EXACT)
-
-
-def test_budgeted_search_returns_at_least_the_lexicode():
-    # A(10,3) = 72 is past the budget; the best code found is the 64-word
-    # lexicode, where the search alone found 58 words in 3 * 10**6 nodes.
-    assert _branch_and_bound(10, 3, 1) == (64, STATUS_TIMEOUT)
 
 
 def test_raw_search_settles_even_weight_codes():
@@ -193,11 +178,14 @@ def test_exact_closed_forms_hold_beyond_the_search_range():
         exact_max_code_size(13, 3)
 
 
-def test_budget_exhaustion_reports_timeout():
-    # Not A(7,3), whose lexicode meets the Plotkin bound before the first node.
+def test_budget_exhaustion_reports_timeout(capsys):
     result = exact_max_code_size(9, 5, budget=50)
     assert result.status == STATUS_TIMEOUT
-    assert 4 <= result.value <= 6  # at least the lexicode, still a genuine lower bound
+    assert 4 <= result.value <= 6  # a code found, still a genuine lower bound
+    assert capsys.readouterr().err.splitlines() == [
+        "exact search for A(9,5), node budget 50",
+        "A(9,5): node budget ran out after 50 nodes",
+    ]
 
 
 def test_packing_lower_bound_rounds_up():
@@ -255,7 +243,7 @@ def test_chromatic_lower_bound_names_the_search_range():
 def test_chromatic_lower_bound_names_the_exhausted_budget(monkeypatch):
     # n = 10 is inside the exact-search range; running out of nodes there is
     # a budget matter, not a range matter.  The real search of A(10,3)
-    # exhausts its 3 * 10**6 nodes after about 31 s on a 2-vCPU VM.
+    # exhausts its 3 * 10**6 nodes after about 22 s on a 2-vCPU VM.
     monkeypatch.delitem(bounds.KNOWN_CODE_SIZES, (10, 3))
     monkeypatch.setattr(
         bounds, "exact_max_code_size", lambda n, d: CodeSizeResult(60, STATUS_TIMEOUT)

@@ -165,7 +165,7 @@ def test_cli_bound(capsys):
 
 def test_cli_bound_n10_answers_from_the_table(capsys):
     # A(10,3) = 72 is cited, so no exact search runs (it would exhaust its
-    # 3 * 10**6-node budget after about 31 s on a 2-vCPU VM).
+    # 3 * 10**6-node budget after about 22 s on a 2-vCPU VM).
     assert main(["bound", "--n", "10", "--k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "15"  # ceil(1024/72)
@@ -187,15 +187,19 @@ def test_cli_bound_answers_even_distances_from_the_odd_entry(capsys):
 
 def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
     # Neither A(10,6) nor A(9,5) is cited; the clique-cover search settles
-    # A(9,5) in 925 nodes, where it meets the Plotkin bound.  Before it
-    # starts, stderr names what it searches and its node budget.
+    # A(9,5) in 926 nodes, where it meets the Plotkin bound.  Before it
+    # starts, stderr names what it searches and its node budget; when it
+    # ends, the nodes it spent.
     assert main(["bound", "--n", "10", "--k", "5"]) == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "171", "source: exact-computation, A(10,6) = 6"  # ceil(1024/6)
     ]
     budget = bounds.DEFAULT_NODE_BUDGET
-    assert captured.err == f"exact search for A(10,6) = A(9,5), node budget {budget}\n"
+    assert captured.err.splitlines() == [
+        f"exact search for A(10,6) = A(9,5), node budget {budget}",
+        "A(9,5): exact after 926 nodes",
+    ]
 
 
 def test_cli_bound_unknown_is_operational_error(capsys):
@@ -611,11 +615,13 @@ SLOW_IMPORTS = {
     "typing",
 }
 
-# (argv, or None for a bare `import cubecolor`; the submodules it must not load).
-# Each runs in a fresh `python -S`, so no site hook preloads a module and hides
-# an import of it.
+# (argv, or the name of a module to import bare; the submodules it must not
+# load).  Each runs in a fresh `python -S`, so no site hook preloads a module
+# and hides an import of it.
 ENTRY_POINTS = [
-    pytest.param(None, SUBMODULES, id="import"),
+    pytest.param("cubecolor", SUBMODULES, id="import"),
+    # The kernel names search.SearchConfig only in annotations.
+    pytest.param("cubecolor.tabu", SUBMODULES - {"tabu"}, id="import-tabu"),
     pytest.param(["fixture"], {"search", "sat", "bounds"}, id="fixture"),
     pytest.param(["verify", "{q3}"], {"search", "sat", "bounds", "fixture"}, id="verify"),
     pytest.param(["stats", "{q3}"], {"search", "sat", "bounds", "fixture"}, id="stats"),
@@ -650,8 +656,8 @@ def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_p
     col = coloring_from_classes(Params(3, 2, 4), [[0, 7], [1, 6], [2, 5], [3, 4]])
     model.write_text("v " + " ".join(map(str, sorted(oracles.coloring_to_model(col)))) + " 0\n")
     report = f"print(*(m for m in sys.modules if m in {SLOW_IMPORTS!r} or m[:10] == 'cubecolor.'))"
-    if argv is None:
-        code = f"import cubecolor, sys; {report}"
+    if isinstance(argv, str):
+        code = f"import {argv}, sys; {report}"
     else:
         files = {"q3": q3_file, "model": str(model), "out": str(tmp_path / "out")}
         argv = [a.format(**files) for a in argv]

@@ -543,13 +543,14 @@ def test_tabu_kernel_matches_reference(seed):
     k = rng.randrange(1, 3)
     num = rng.randrange(1, 7)
     colors = [rng.randrange(1, num + 1) for _ in range(1 << n)]
+    unfixed = [[0] * (num + 1)] * (1 << n)  # no fixed neighbors: tabu_search's one shared row
     with pytest.MonkeyPatch.context() as patch:
         knobs, tenure = _random_knobs(rng, patch)
         config = SearchConfig(**knobs)
         neighbors = oracles.naive_neighbors(n, k)
         run_seed = rng.randrange(10**9)
         fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
-        fast = _tabu_run(list(colors), num, ball_masks(n, k), None, fast_rng, config)
+        fast = _tabu_run(list(colors), num, ball_masks(n, k), unfixed, fast_rng, config)
         ref = oracles.reference_tabu_run(
             list(colors), num, neighbors, frozenset(), ref_rng, config, *tenure
         )
@@ -559,7 +560,7 @@ def test_tabu_kernel_matches_reference(seed):
         # goes stale, and checking changes no move.
         checked_rng = random.Random(run_seed)
         patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
-        checked = _tabu_run(list(colors), num, ball_masks(n, k), None, checked_rng, config)
+        checked = _tabu_run(list(colors), num, ball_masks(n, k), unfixed, checked_rng, config)
         assert checked == fast
         assert checked_rng.getstate() == fast_rng.getstate()
 
@@ -571,7 +572,7 @@ def _q4_run(budget):
     """
     start = [random.Random(17).randrange(1, 4) for _ in range(16)]
     final, config = list(start), SearchConfig(max_iterations=budget)
-    fast = _tabu_run(final, 3, ball_masks(4, 1), None, random.Random(17), config)
+    fast = _tabu_run(final, 3, ball_masks(4, 1), [[0] * 4] * 16, random.Random(17), config)
     ref = oracles.reference_tabu_run(
         list(start), 3, oracles.naive_neighbors(4, 1), frozenset(), random.Random(17), config,
         tabu.TABU_TENURE_BASE, tabu.TABU_TENURE_SLOPE,
