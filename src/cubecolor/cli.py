@@ -19,12 +19,12 @@ from .coloring import classes_stats, fingerprint_from_stats, verify_coloring
 from .files import load_coloring, save_coloring
 from .hamming import Params
 
-# Every command loads the modules above anyway (bound through bounds).  The
-# search, SAT, bounds and fixture modules are imported only by the commands
-# that run them, and neither parser needs them: the table's --strategy and
-# --symmetry choices spell out search.STRATEGIES and sat.SYMMETRIES, which a
-# test holds them to.  argparse itself is imported only for a command line the
-# fast parser turns down.
+# Every command but bound would load the modules above anyway (bounds imports
+# hamming alone).  The search, SAT, bounds and fixture modules are imported
+# only by the commands that run them, and neither parser needs them: the
+# table's --strategy and --symmetry choices spell out search.STRATEGIES and
+# sat.SYMMETRIES, which a test holds them to.  argparse itself is imported
+# only for a command line the fast parser turns down.
 
 
 def _read_text(path: str) -> str:

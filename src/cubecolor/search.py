@@ -1,10 +1,10 @@
 """Heuristic construction of colorings: greedy, DSATUR, tabu search, lifting.
 
 All heuristics walk Q_n^k as a Cayley graph: the neighbors of v are v ^ m
-for the masks m of hamming.ball_masks(n, k), so no per-vertex table is ever
-built.  tabu_search and the freeze-subcube lift run the kernel of
-cubecolor.tabu, imported on first use: greedy, DSATUR and the double lift
-never load it.
+for the masks m of hamming.ball_masks(n, k), XORed afresh by greedy and
+DSATUR.  tabu_search and the freeze-subcube lift run the kernel of
+cubecolor.tabu, imported on first use, which tabulates them once per call:
+greedy, DSATUR and the double lift never load it.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ STRATEGIES = (STRATEGY_DOUBLE, STRATEGY_FREEZE_SUBCUBE)
 
 #: Largest working memory, in bytes, that greedy_color, dsatur_color and
 #: tabu_search may estimate for a run before allocating it.  The estimates
-#: round up tracemalloc peaks: tabu 16 K + 256 B per vertex against 270-876 B
-#: at K = 2..40 (n = 14).  Greedy and DSATUR add 480 B for each of at most
-#: ball_size(n, k) colours, and DSATUR 4 B per vertex per 30 colours for its
-#: bitmasks, against peaks of 63-555 and 79-693 B per vertex (n = 8..13, k = 0..n).
+#: round up tracemalloc peaks: tabu 16 K + 8 deg + 384 B per vertex (deg
+#: neighbor row entries of 8 B) plus 256 B per neighbor, against 449-20585 B
+#: per vertex at n = 8..14, k = 1..8, K = 2..40.  Greedy and DSATUR add 480 B
+#: for each of at most ball_size(n, k) colours, and DSATUR 4 B per vertex per
+#: 30 colours for its bitmasks, against peaks of 63-555 and 79-693 B per
+#: vertex (n = 8..13, k = 0..n).
 MAX_SEARCH_BYTES = 1 << 30
 
 
@@ -38,6 +40,12 @@ def _check_memory(what: str, estimate: int) -> None:
             f"{what} would need about {estimate >> 20} MiB,"
             f" above the limit of {MAX_SEARCH_BYTES >> 20} MiB"
         )
+
+
+def _check_tabu_memory(params: Params) -> None:
+    deg = ball_size(params.n, params.k) - 1
+    estimate = (16 * params.num_colors + 8 * deg + 384) * params.num_words + 256 * deg
+    _check_memory("tabu search", estimate)
 
 
 class Assignment:
@@ -207,7 +215,7 @@ def tabu_search(
         raise ValueError("tabu_search needs params.num_colors")
     config = config or SearchConfig()
     num_colors = params.num_colors
-    _check_memory("tabu search", (16 * num_colors + 256) * params.num_words)
+    _check_tabu_memory(params)
 
     if init is not None:
         if init.params.n != params.n or init.params.k != params.k:
@@ -274,7 +282,7 @@ def extend_to_higher_dim(
         if num_colors < used:
             raise ValueError(f"base coloring uses {used} colors, target {num_colors} is smaller")
         params_out = Params(n + 1, k, num_colors)
-        _check_memory("tabu search", (16 * num_colors + 256) * params_out.num_words)
+        _check_tabu_memory(params_out)  # bounds the free half's rows and its fixed counts too
         fixed = [[0] * (num_colors + 1) for _ in base_colors]
         fixed_masks = [0, *ball_masks(n, k - 1)] if k else []
         for x, row in enumerate(fixed):

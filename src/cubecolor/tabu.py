@@ -24,20 +24,34 @@ TABU_TENURE_BASE = 7
 TABU_TENURE_SLOPE = 0.6
 
 
+def _neighbor_rows(masks: list[int], size: int) -> list[tuple[int, ...]]:
+    """rows[v] = tuple(v ^ m for m in masks) for v < size, a power of two.
+
+    Rows b..2b - 1 are rows 0..b - 1 mapped through one list of x ^ b per bit
+    b in turn, so every row holds the ints of one list of words.
+    """
+    words, rows, b = list(range(size)), [tuple(masks)], 1
+    while b < size:
+        flip = [words[x ^ b] for x in words]
+        rows += [tuple(map(flip.__getitem__, row)) for row in rows]
+        b *= 2
+    return rows
+
+
 def _fresh_state(
-    color_of: list[int], num_colors: int, masks: list[int], fixed: list[list[int]]
+    color_of: list[int], num_colors: int, rows: list[tuple[int, ...]], fixed: list[list[int]]
 ) -> tuple[list[list[int]], list[int], list[int], list[int], list[list[int]], int]:
     """_tabu_run's state counted from color_of: gamma, own, low, nlow, buckets, conflicts."""
     size = len(color_of)
-    deg = len(masks) + sum(fixed[0])  # every vertex's full degree
+    deg = len(rows[0]) + sum(fixed[0])  # every vertex's full degree
     sentinel = 2 * deg  # a masked slot's delta, at least deg, stays above every real delta
     gamma = [list(row) for row in fixed]
     own, low, nlow = [0] * size, [0] * size, [0] * size
     buckets: list[list[int]] = [[] for _ in range(2 * deg)]
     for v, cv in enumerate(color_of):
         gv = gamma[v]
-        for m in masks:
-            gv[color_of[v ^ m]] += 1
+        for u in rows[v]:
+            gv[color_of[u]] += 1
         own[v] = gv[cv]
         gv[0] = gv[cv] = sentinel
         lo = low[v] = min(gv)
@@ -49,7 +63,7 @@ def _fresh_state(
 
 
 def _check_state(
-    color_of: list[int], masks: list[int], fixed: list[list[int]],
+    color_of: list[int], rows: list[tuple[int, ...]], fixed: list[list[int]],
     gamma: list[list[int]], own: list[int], low: list[int], nlow: list[int],
     buckets: list[list[int]], first: int, tabu_until: list[list[int]], tmax: list[int],
     conflicts: int, it: int,
@@ -60,7 +74,7 @@ def _check_state(
     the kernel lets the rest go stale.
     """
     want_gamma, want_own, want_low, want_nlow, want_buckets, recount = _fresh_state(
-        color_of, len(gamma[0]) - 1, masks, fixed
+        color_of, len(gamma[0]) - 1, rows, fixed
     )
     for v in range(len(color_of)):
         if own[v] != want_own[v]:
@@ -90,7 +104,7 @@ def _check_state(
 def _tabu_run(
     color_of: list[int],
     num_colors: int,
-    masks: list[int],
+    rows: list[tuple[int, ...]],
     fixed: list[list[int]],
     rng: random.Random,
     config: SearchConfig,
@@ -105,11 +119,11 @@ def _tabu_run(
     move is tabu and none aspirates, the best move ignoring tabu is taken, so
     the search always progresses.
 
-    The neighbors of v are v ^ m for m in masks (hamming.ball_masks), XORed
-    afresh wherever they are needed; no per-vertex list is built.  fixed[v]
-    counts by color v's neighbors that never move (a lift's lower copy, all
-    zero otherwise); deg, v's full degree, adds their number to len(masks).  A
-    move changes only the rows of the moved vertex and its conflicted
+    The neighbors of v that move are its neighbor row rows[v] (_neighbor_rows,
+    built once per _restarts call), read by every walk.  fixed[v] counts by
+    color v's neighbors that never move (a lift's lower copy, all zero
+    otherwise); deg, v's full degree, adds their number to len(rows[v]).  A
+    move changes only the gamma rows of the moved vertex and its conflicted
     neighbors, so each neighbor u is dispatched on own[u] first: a conflicted
     u has its row, own count and key updated for its color being old, c or
     neither; an unconflicted u of color c has its row recounted; any other u
@@ -166,7 +180,7 @@ def _tabu_run(
     so the move drawn is the same; bisect_right on ends finds the vertex
     when there is more than one.
     """
-    gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, masks, fixed)
+    gamma, own, low, nlow, buckets, conflicts = _fresh_state(color_of, num_colors, rows, fixed)
     deg, sentinel = len(buckets) // 2, gamma[0][0]  # slot 0 always holds the sentinel
     nb, first = len(buckets), 0
 
@@ -254,8 +268,7 @@ def _tabu_run(
         if t > tmax[v]:
             tmax[v] = t
         color_of[v] = c
-        for m in masks:
-            u = v ^ m
+        for u in rows[v]:
             o = own[u]
             if o:
                 gu, cu = gamma[u], color_of[u]
@@ -307,8 +320,8 @@ def _tabu_run(
                 o = own[u] = 1
                 gu = gamma[u]
                 gu[:] = fixed[u]
-                for w in masks:
-                    gu[color_of[u ^ w]] += 1
+                for w in rows[u]:
+                    gu[color_of[w]] += 1
                 gu[0] = gu[c] = sentinel
                 lo = low[u] = min(gu)
                 nlow[u] = gu.count(lo)
@@ -345,7 +358,7 @@ def _tabu_run(
 
         if period and it % period == 0:
             _check_state(
-                color_of, masks, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
+                color_of, rows, fixed, gamma, own, low, nlow, buckets, first, tabu_until, tmax,
                 conflicts, it,
             )
     return list(color_of) if pending else best_colors, best_conflicts, it
@@ -362,6 +375,7 @@ def _restarts(
     drawn from random.Random(rng_seed + r), then runs _tabu_run on that
     generator.  Stops early when a restart reaches zero conflicts.
     """
+    rows = _neighbor_rows(masks, len(fixed))  # shared by every restart
     best_colors: list[int] = []
     best_conflicts = best_seed = -1
     total_iters = 0
@@ -373,7 +387,7 @@ def _restarts(
             colors = list(first)
         else:
             colors = [rng.randrange(1, num_colors + 1) for _ in fixed]
-        run_best, run_conflicts, iters = _tabu_run(colors, num_colors, masks, fixed, rng, config)
+        run_best, run_conflicts, iters = _tabu_run(colors, num_colors, rows, fixed, rng, config)
         total_iters += iters
         if r == 0 or run_conflicts < best_conflicts:
             best_colors, best_conflicts, best_seed = run_best, run_conflicts, seed_r

@@ -26,7 +26,7 @@ from cubecolor.search import (
     greedy_color,
     tabu_search,
 )
-from cubecolor.tabu import _tabu_run
+from cubecolor.tabu import _neighbor_rows, _tabu_run
 
 Q3_PARAMS = Params(3, 2, 4)
 Q3_COLORING = coloring_from_classes(Q3_PARAMS, [[0, 7], [1, 6], [2, 5], [3, 4]])
@@ -177,6 +177,25 @@ def test_tabu_with_one_color_terminates():
     assert out.conflicts == 4  # Q_2 has four edges, all monochromatic
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_neighbor_rows_match_the_oracle(n):
+    # Row v lists v ^ m in ball_masks order; as a set it is v's neighborhood
+    # found by the all-pairs distance scan.
+    for k in range(n + 1):
+        masks = ball_masks(n, k)
+        rows = _neighbor_rows(masks, 1 << n)
+        assert len(rows) == 1 << n
+        for v, (row, naive) in enumerate(zip(rows, oracles.naive_neighbors(n, k))):
+            assert row == tuple(v ^ m for m in masks)
+            assert tuple(sorted(row)) == naive
+
+
+def test_tabu_at_k0_has_empty_rows_and_no_conflicts():
+    assert _neighbor_rows(ball_masks(4, 0), 16) == [()] * 16
+    out = tabu_search(Params(4, 0, 2), SearchConfig(max_iterations=100))
+    assert (out.conflicts, out.iterations_used) == (0, 0)
+
+
 def test_tabu_init_validation():
     good = assignment_from_coloring(Q3_COLORING)
     with pytest.raises(ValueError):
@@ -221,6 +240,7 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
     [
         ("tabu search", lambda: tabu_search(Params(10, 2, 2), SearchConfig(max_iterations=1))),
         ("tabu search", lambda: tabu_search(Params(10, 2, 40), SearchConfig(max_iterations=1))),
+        ("tabu search", lambda: tabu_search(Params(9, 4, 2), SearchConfig(max_iterations=1))),
         ("tabu search", lambda: extend_to_higher_dim(
             q8_square_13_coloring(), "freeze-subcube", 13, SearchConfig(max_iterations=1)
         )),
@@ -234,8 +254,8 @@ def test_tabu_self_check_recounts_every_cached_count(monkeypatch, run):
         ("DSATUR", lambda: dsatur_color(Params(9, 9))),
     ],
     ids=[
-        "tabu-k2", "tabu-k40", "freeze-q9", "greedy", "greedy-k6", "greedy-k10", "dsatur",
-        "dsatur-k0", "dsatur-k4", "dsatur-k6", "dsatur-k9",
+        "tabu-k2", "tabu-k40", "tabu-k4-deg255", "freeze-q9", "greedy", "greedy-k6",
+        "greedy-k10", "dsatur", "dsatur-k0", "dsatur-k4", "dsatur-k6", "dsatur-k9",
     ],
 )
 def test_memory_estimate_bounds_the_measured_peak(monkeypatch, what, run):
@@ -294,7 +314,7 @@ def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(search, "MAX_SEARCH_BYTES", 1 << 20)
     for run, message in (
         (lambda: tabu_search(Params(12, 2, 20), SearchConfig(max_iterations=1)),
-         "tabu search would need about 2 MiB, above the limit of 1 MiB"),
+         "tabu search would need about 5 MiB, above the limit of 1 MiB"),
         (lambda: greedy_color(Params(13, 2)), "greedy coloring would need about 1 MiB"),
         (lambda: dsatur_color(Params(12, 2)), "DSATUR would need about 1 MiB"),
     ):
@@ -306,7 +326,7 @@ def test_search_memory_is_checked_before_allocating(monkeypatch, tmp_path, capsy
     # At the real limit, oversized commands exit 2 at once, naming the estimate.
     out = str(tmp_path / "never-written.txt")
     for args, message in (
-        (["--colors", "20"], "tabu search would need about 9216 MiB, above the limit of 1024 MiB"),
+        (["--colors", "20"], "tabu search would need about 49664 MiB, above the limit of 1024 MiB"),
         (["--colors", "20", "--algo", "greedy"], "greedy coloring would need about 2560 MiB"),
     ):
         start = time.perf_counter()
@@ -503,8 +523,8 @@ def _record(run):
     finals = []
     real_run = tabu._tabu_run
 
-    def recording(color_of, num_colors, masks, fixed, rng, config):
-        result = real_run(color_of, num_colors, masks, fixed, rng, config)
+    def recording(color_of, num_colors, rows, fixed, rng, config):
+        result = real_run(color_of, num_colors, rows, fixed, rng, config)
         finals.append((color_of, rng.getstate()))
         return result
 
@@ -537,7 +557,7 @@ def test_tabu_kernel_matches_reference(seed):
     # naive full scan, so colors, counts and the rng state all agree.  A large
     # tenure base keeps most moves tabu, which exercises the forced fallback.
     # The reference walks neighbor tuples found by an all-pairs distance scan,
-    # so it shares no graph code with the kernel's masks.
+    # so it shares no graph code with the kernel's neighbor rows.
     rng = random.Random(seed)
     n = rng.randrange(3, 7)
     k = rng.randrange(1, 3)
@@ -550,7 +570,8 @@ def test_tabu_kernel_matches_reference(seed):
         neighbors = oracles.naive_neighbors(n, k)
         run_seed = rng.randrange(10**9)
         fast_rng, ref_rng = random.Random(run_seed), random.Random(run_seed)
-        fast = _tabu_run(list(colors), num, ball_masks(n, k), unfixed, fast_rng, config)
+        rows = _neighbor_rows(ball_masks(n, k), 1 << n)
+        fast = _tabu_run(list(colors), num, rows, unfixed, fast_rng, config)
         ref = oracles.reference_tabu_run(
             list(colors), num, neighbors, frozenset(), ref_rng, config, *tenure
         )
@@ -560,7 +581,7 @@ def test_tabu_kernel_matches_reference(seed):
         # goes stale, and checking changes no move.
         checked_rng = random.Random(run_seed)
         patch.setattr(tabu, "SELF_CHECK_PERIOD", 1)
-        checked = _tabu_run(list(colors), num, ball_masks(n, k), unfixed, checked_rng, config)
+        checked = _tabu_run(list(colors), num, rows, unfixed, checked_rng, config)
         assert checked == fast
         assert checked_rng.getstate() == fast_rng.getstate()
 
@@ -572,7 +593,8 @@ def _q4_run(budget):
     """
     start = [random.Random(17).randrange(1, 4) for _ in range(16)]
     final, config = list(start), SearchConfig(max_iterations=budget)
-    fast = _tabu_run(final, 3, ball_masks(4, 1), [[0] * 4] * 16, random.Random(17), config)
+    rows = _neighbor_rows(ball_masks(4, 1), 16)
+    fast = _tabu_run(final, 3, rows, [[0] * 4] * 16, random.Random(17), config)
     ref = oracles.reference_tabu_run(
         list(start), 3, oracles.naive_neighbors(4, 1), frozenset(), random.Random(17), config,
         tabu.TABU_TENURE_BASE, tabu.TABU_TENURE_SLOPE,
@@ -673,9 +695,9 @@ def test_fixture_lift_leaves_each_free_word_four_colors(monkeypatch):
     # the fixture gives them 9 distinct colors and leaves 4 of 13 free.
     seen = []
 
-    def spy(color_of, num_colors, masks, fixed, rng, config):
+    def spy(color_of, num_colors, rows, fixed, rng, config):
         seen.append(fixed)
-        return real(color_of, num_colors, masks, fixed, rng, config)
+        return real(color_of, num_colors, rows, fixed, rng, config)
 
     real = tabu._tabu_run
     monkeypatch.setattr(tabu, "_tabu_run", spy)
@@ -733,10 +755,11 @@ def test_check_state_names_a_stale_minimum_count_and_a_misfiled_vertex():
     tabu_until = [[0] * (num + 1) for _ in colors]
     tmax = [0] * 16
 
+    rows = _neighbor_rows(ball_masks(n, k), 16)
+
     def check(cursor=first, tally=conflicts):
         tabu._check_state(
-            colors, ball_masks(n, k), fixed, gamma, own, low, nlow, buckets, cursor,
-            tabu_until, tmax, tally, 7,
+            colors, rows, fixed, gamma, own, low, nlow, buckets, cursor, tabu_until, tmax, tally, 7,
         )
 
     check()  # the state as built is correct
