@@ -155,7 +155,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     """Largest M such that an (n, M, d) code exists.
 
     d = 1 admits the whole space and d = 2 the even-weight words, so those
-    return in closed form for every n; d > n forces a single word.
+    return in closed form for every n; d > n forces a single word, and where
+    Plotkin's bound is 2, {0, 1^n} meets it.
     Everything else runs the branch-and-bound search under the given node
     budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.  An even d
     searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
@@ -176,6 +177,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
         return CodeSizeResult(1 << (n - 1), STATUS_EXACT)
     if d > n:
         return CodeSizeResult(1, STATUS_EXACT)
+    if _plotkin_bound(n, d) == 2:
+        return CodeSizeResult(2, STATUS_EXACT)
     if n > MAX_EXACT_DIMENSION:
         raise ValueError(f"n={n} is out of exact-search range 1..{MAX_EXACT_DIMENSION}")
     searched = f"A({n},{d})"

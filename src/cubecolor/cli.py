@@ -88,6 +88,8 @@ def cmd_search(args) -> int:
 
     params = Params(args.n, args.k, args.colors)
     if args.algo in ("greedy", "dsatur"):
+        if args.init is not None:
+            raise ValueError(f"--init starts a tabu search; --algo {args.algo} takes none")
         col = (greedy_color if args.algo == "greedy" else dsatur_color)(Params(args.n, args.k))
         _write_text(args.out, save_coloring(col))
         used = len(col.classes)

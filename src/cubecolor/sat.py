@@ -4,16 +4,15 @@ Variable var(v, c) = v*K + c is "vertex v has color c" for v in [0, 2^n) and
 c in 1..K.  One generator, _blocks, fixes the clause order (at-least-one by
 vertex, conflict clauses by (pair, color), optional at-most-one by vertex,
 symmetry units last), so generated files are byte-identical across runs.
-encode_coloring_cnf expands its blocks into tuples held in a CnfFormula; the
-CLI's encode writes each block's text as it is generated.  The clauses
-are valid by construction (non-empty, literals in +-1..num_vars, never x with
--x) for every input, so the encoder does not re-check them; the tests check
-them against an oracle.
+The CLI's encode streams each block's text through dimacs_block_lines;
+encode_coloring_cnf and write_dimacs, plain code over clause tuples, are the
+reference the tests hold it to.  The clauses are valid by construction
+(non-empty, literals in +-1..num_vars, never x with -x) for every input, so
+the encoder does not re-check them; the tests check them against an oracle.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import combinations
@@ -29,12 +28,12 @@ SYMMETRIES = (SYMMETRY_NONE, SYMMETRY_FIX_VERTEX_0, SYMMETRY_FIX_CLIQUE)
 
 #: Largest formula encode_coloring_cnf builds and the CLI's encode writes, as a
 #: bound on both its clause count and its variable count.  The library holds
-#: the clauses as tuples, about 146 bytes per clause (2.0M clauses for
-#: (11,2,30) took 297 MiB) and 40 bytes per variable (4.2M variables in 2048
-#: clauses for (11,0,2048) took 175 MiB), so either bound keeps a formula under
-#: 1 GiB.  The CLI streams the clauses in about 15 MiB; there the bound caps
-#: output size and run time (5.9M clauses for (12,2,37) are 99 MB of DIMACS,
-#: written in 1.2 s under CPython 3.11).
+#: the clauses as tuples, about 140 bytes per clause (2.0M clauses for
+#: (11,2,30) peaked at 281 MiB in 0.8-1.2 s under CPython 3.11) and 40 bytes per
+#: variable (4.2M variables in 2048 clauses for (11,0,2048) peaked at 174 MiB),
+#: so either bound keeps a formula under 1 GiB.  The CLI streams the clauses in
+#: about 15 MiB; there the bound caps output size and run time (5.9M clauses
+#: for (12,2,37) are 99 MB of DIMACS, written in 1.2 s under CPython 3.11).
 MAX_CLAUSES = 6_000_000
 
 
@@ -82,13 +81,7 @@ def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) ->
     Q_n^k, to colors 1, 2, ...
     """
     comments, num_vars, _, blocks = coloring_cnf_stream(params, options)
-    enabled = gc.isenabled()
-    gc.disable()  # the clause tuples form no cycles, but their number keeps triggering collections
-    try:
-        return CnfFormula(num_vars, _clauses(blocks, params.num_colors), comments)
-    finally:
-        if enabled:
-            gc.enable()
+    return CnfFormula(num_vars, _clauses(blocks, params.num_colors), comments)
 
 
 def coloring_cnf_stream(
@@ -170,10 +163,12 @@ def dimacs_block_lines(
     comments: Iterable[str], num_vars: int, num_clauses: int,
     blocks: Iterable[Block], num_colors: int,
 ) -> Iterator[str]:
-    """dimacs_lines of the blocks' clauses, one string per block.  An edges block
-    formats u's literals once into a template that each v fills, so the writer
-    holds strings for one vertex at a time, whatever the variable count."""
-    yield from dimacs_lines(comments, num_vars, num_clauses, ())
+    """A DIMACS file's lines: comments, header, then one string per block.  An
+    edges block formats u's literals once into a template that each v fills,
+    so the writer holds strings for one vertex at a time, whatever the variable count."""
+    for c in comments:
+        yield f"c {c}\n"
+    yield f"p cnf {num_vars} {num_clauses}\n"
     span = num_colors + 1  # a vertex's literals are base + 1 .. base + num_colors
     for kind, a, b in blocks:
         if kind == "or":
@@ -206,26 +201,13 @@ def expected_clause_count(params: Params, options: EncodeOptions | None = None) 
     return total
 
 
-def dimacs_lines(
-    comments: Iterable[str], num_vars: int, num_clauses: int, clauses: Iterable[tuple[int, ...]]
-) -> Iterator[str]:
-    """The lines of a DIMACS file, each ending in a newline, one at a time,
-    so a file can be written without holding the whole text or formula.
-    Each clause is a tuple; its literals are written as str() writes them."""
-    for c in comments:
-        yield f"c {c}\n"
-    yield f"p cnf {num_vars} {num_clauses}\n"
-    formats: dict[int, str] = {}  # clause length -> "%s %s ... 0\n" (" 0\n" if empty)
-    for cl in clauses:
-        fmt = formats.get(len(cl))
-        if fmt is None:
-            fmt = formats[len(cl)] = " ".join(["%s"] * len(cl)) + " 0\n"
-        yield fmt % cl
-
-
 def write_dimacs(f: CnfFormula) -> str:
     """Standard DIMACS CNF text; byte-stable for a fixed formula."""
-    return "".join(dimacs_lines(f.comments, f.num_vars, len(f.clauses), f.clauses))
+    return "".join([
+        *(f"c {c}\n" for c in f.comments),
+        f"p cnf {f.num_vars} {len(f.clauses)}\n",
+        *(" ".join(map(str, cl)) + " 0\n" for cl in f.clauses),
+    ])
 
 
 def decode_model(true_vars: set[int], params: Params) -> Coloring:

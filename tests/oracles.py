@@ -30,18 +30,18 @@ def naive_neighbors(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def naive_max_code_size(n: int, d: int) -> int:
-    """Maximum code size by enumerating every subset of {0,1}^n.  n <= 4 only."""
-    if n > 4:
-        raise ValueError("subset enumeration is 2^(2^n); keep n <= 4")
-    size = 1 << n
-    best = 0
-    for mask in range(1, 1 << size):
-        sub = [w for w in range(size) if mask >> w & 1]
-        if len(sub) <= best:
-            continue
-        if all(naive_distance(u, v) >= d for u, v in itertools.combinations(sub, 2)):
-            best = len(sub)
-    return best
+    """Maximum code size by enumerating the subsets of {0,1}^n by size, up to
+    the first size that holds no code (every subset of a code is a code).
+    It checks up to C(2^n, A + 1) subsets: n <= 4, or n <= 6 where A is tiny."""
+    if n > 6:
+        raise ValueError("subset enumeration is C(2^n, A + 1); keep n <= 6")
+    size = 1
+    while any(
+        all(naive_distance(u, v) >= d for u, v in itertools.combinations(sub, 2))
+        for sub in itertools.combinations(range(1 << n), size + 1)
+    ):
+        size += 1
+    return size
 
 
 def naive_conflicts(n: int, k: int, color_of: list[int]) -> int:

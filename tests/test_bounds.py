@@ -15,6 +15,7 @@ from cubecolor.bounds import (
     UnknownCodeSizeError,
     _branch_and_bound,
     _conflict_adjacency,
+    _plotkin_bound,
     chromatic_lower_bound,
     exact_max_code_size,
     packing_lower_bound,
@@ -93,6 +94,22 @@ def test_closed_forms_match_raw_branch_and_bound(n):
         raw = _branch_and_bound(n, d, 10**8)
         assert raw.status == STATUS_EXACT
         assert raw.value == exact_max_code_size(n, d).value, (n, d)
+
+
+PLOTKIN_2_CELLS = [
+    (n, d) for n in range(1, 13) for d in range(3, n + 1) if _plotkin_bound(n, d) == 2
+]
+
+
+@pytest.mark.parametrize("n,d", PLOTKIN_2_CELLS)
+def test_plotkin_2_cells_answer_in_closed_form(n, d, capsys):
+    # {0, 1^n} is a code and Plotkin's bound rules out a third word, so these
+    # answer with no search and, as the other closed forms, nothing on stderr.
+    assert exact_max_code_size(n, d) == (2, STATUS_EXACT)
+    assert capsys.readouterr().err == ""
+    assert _branch_and_bound(n, d, DEFAULT_NODE_BUDGET) == (2, STATUS_EXACT)
+    if n <= 6:
+        assert oracles.naive_max_code_size(n, d) == 2
 
 
 # The reference settles each of these within the 10**8 nodes it was written
@@ -174,6 +191,8 @@ def test_exact_closed_forms_hold_beyond_the_search_range():
     assert exact_max_code_size(20, 1) == (2**20, STATUS_EXACT)
     assert exact_max_code_size(20, 2) == (2**19, "exact")
     assert exact_max_code_size(20, 21) == (1, STATUS_EXACT)
+    assert exact_max_code_size(24, 24) == (2, STATUS_EXACT)
+    assert exact_max_code_size(13, 10) == (2, STATUS_EXACT)
     with pytest.raises(ValueError, match="out of exact-search range"):
         exact_max_code_size(13, 3)
 
@@ -210,10 +229,11 @@ def test_chromatic_lower_bound_computes_small_cases():
 
 
 def test_chromatic_lower_bound_closed_forms_beyond_exact_range():
-    # d = k+1 <= 2 and d > n work at any dimension without a table entry.
+    # d = k+1 <= 2, d > n and a Plotkin bound of 2 work at any dimension without a table entry.
     assert chromatic_lower_bound(20, 0).bound == 1
     assert chromatic_lower_bound(20, 1).bound == 2
     assert chromatic_lower_bound(5, 5) == (32, SOURCE_EXACT, 1, None)
+    assert chromatic_lower_bound(13, 9) == (4096, SOURCE_EXACT, 2, None)
 
 
 @pytest.mark.parametrize("n,k", [(5, -3), (5, 9), (0, 0), (-1, 1), (25, 1)])

@@ -202,6 +202,15 @@ def test_cli_bound_runs_the_exact_search_when_the_table_has_no_entry(capsys):
     ]
 
 
+def test_cli_bound_answers_plotkin_2_cells_beyond_the_search_range(capsys):
+    # {0, 1^24} is a code and Plotkin's bound rules out a third word; this
+    # exited 2, out of exact-search range, before the closed form.
+    assert main(["bound", "--n", "24", "--k", "23"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["8388608", "source: exact-computation, A(24,24) = 2"]
+    assert captured.err == ""
+
+
 def test_cli_bound_unknown_is_operational_error(capsys):
     assert main(["bound", "--n", "13", "--k", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -281,6 +290,21 @@ def test_cli_search_with_init(q3_file, tmp_path, capsys):
     )
     assert rc == 0
     assert "iterations: 0" in capsys.readouterr().out  # init already has no conflicts
+
+
+@pytest.mark.parametrize("algo", ["greedy", "dsatur"])
+def test_cli_search_rejects_init_without_tabu(q3_file, tmp_path, capsys, algo):
+    # Only tabu starts from a coloring; greedy and DSATUR ignored --init.
+    out_path = tmp_path / "out.txt"
+    rc = main(
+        ["search", "--n", "3", "--k", "2", "--colors", "4", "--algo", algo, "--init", q3_file,
+         "--out", str(out_path)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--init" in captured.err
+    assert not out_path.exists()
 
 
 def test_cli_search_init_params_mismatch(q3_file, tmp_path, capsys):
@@ -742,7 +766,7 @@ def _toolchain_lines(monkeypatch, tmp_path):
 
 def test_readme_and_benchmark_command_lines_take_the_fast_path(monkeypatch, tmp_path):
     lines = [*_readme_lines(), *_toolchain_lines(monkeypatch, tmp_path)]
-    assert len(lines) == 13 + 15
+    assert len(lines) == 14 + 15
     for argv in lines:
         fast = cli._parse_fast(argv)
         assert fast is not None, argv
