@@ -29,7 +29,7 @@ _EXPORTS = {
         "neighbors_within", "random_automorphism",
     ),
     "sat": (
-        "CnfFormula", "EncodeOptions", "ModelDecodeError", "decode_model",
+        "CnfFormula", "ModelDecodeError", "decode_model",
         "encode_coloring_cnf", "parse_solver_model", "var_index", "write_dimacs",
     ),
     "search": (

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 
-from .hamming import Params, ball_masks
+from .hamming import MAX_DIMENSION, Params, ball_masks
 
 # Exact search is desk-scale only; beyond this the conflict graph and the
 # search tree stop being laptop material.
@@ -154,9 +154,10 @@ def _branch_and_bound(n: int, d: int, budget: int) -> CodeSizeResult:
 def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> CodeSizeResult:
     """Largest M such that an (n, M, d) code exists.
 
-    d = 1 admits the whole space and d = 2 the even-weight words, so those
-    return in closed form for every n; d > n forces a single word, and where
-    Plotkin's bound is 2, {0, 1^n} meets it.
+    n is at most hamming.MAX_DIMENSION, as in Params.  d = 1 admits the whole
+    space and d = 2 the even-weight words, so those return in closed form for
+    every such n; d > n forces a single word, and where Plotkin's bound is 2,
+    {0, 1^n} meets it.
     Everything else runs the branch-and-bound search under the given node
     budget, which is desk-scale only: n <= MAX_EXACT_DIMENSION.  An even d
     searches A(n - 1, d - 1), which is equal (adding a parity bit to a code
@@ -165,8 +166,8 @@ def exact_max_code_size(n: int, d: int, budget: int = DEFAULT_NODE_BUDGET) -> Co
     run for minutes, so it names itself and its budget on stderr first, and
     the nodes it spent when it ends.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {n}")
     if d < 1:
         raise ValueError(f"minimum distance must be >= 1, got {d}")
     if budget < 1:

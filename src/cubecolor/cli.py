@@ -83,6 +83,13 @@ def _search_config(args):
     return SearchConfig(**{key: value for key, value in given.items() if value is not None})
 
 
+def _print_run(out) -> int:
+    """Print a SearchOutcome's conflicts and the run line that reruns it."""
+    print(f"conflicts: {out.conflicts}")
+    print(f"iterations: {out.iterations_used} restarts: {out.restarts_used} seed: {out.seed_used}")
+    return 0 if out.conflicts == 0 else 1
+
+
 def cmd_search(args) -> int:
     from .search import assignment_from_coloring, dsatur_color, greedy_color, tabu_search
 
@@ -101,12 +108,7 @@ def cmd_search(args) -> int:
     outcome = tabu_search(params, _search_config(args), init)
     _write_text(args.out, save_coloring(outcome.best.to_coloring()))
     print("algorithm: tabu")
-    print(f"conflicts: {outcome.conflicts}")
-    print(
-        f"iterations: {outcome.iterations_used} restarts: {outcome.restarts_used}"
-        f" seed: {outcome.seed_used}"
-    )
-    return 0 if outcome.conflicts == 0 else 1
+    return _print_run(outcome)
 
 
 def cmd_extend(args) -> int:
@@ -119,16 +121,14 @@ def cmd_extend(args) -> int:
     _write_text(args.out, save_coloring(outcome.best.to_coloring()))
     print(f"strategy: {args.strategy}")
     print(f"colors: {outcome.best.params.num_colors}")
-    print(f"conflicts: {outcome.conflicts}")
-    return 0 if outcome.conflicts == 0 else 1
+    return _print_run(outcome)
 
 
 def cmd_encode(args) -> int:
-    from .sat import EncodeOptions, coloring_cnf_stream, dimacs_block_lines
+    from .sat import coloring_cnf_stream, dimacs_block_lines
 
     params = Params(args.n, args.k, args.colors)
-    options = EncodeOptions(at_most_one=args.amo, symmetry=args.symmetry)
-    comments, num_vars, num_clauses, blocks = coloring_cnf_stream(params, options)
+    comments, num_vars, num_clauses, blocks = coloring_cnf_stream(params, args.symmetry)
     with open(args.out, "w") as fh:
         fh.writelines(dimacs_block_lines(comments, num_vars, num_clauses, blocks, args.colors))
     print(f"variables: {num_vars}")
@@ -173,8 +173,7 @@ def cmd_fixture(args) -> int:
 
 # The CLI's whole surface, from which both parsers are built.  Each command
 # maps to (help, function, positionals, flags), a positional being (dest, help).
-# A flag of type None keeps its string; type bool makes it a switch that takes
-# no value (argparse's store_true).
+# A flag of type None keeps its string.
 Flag = namedtuple(
     "Flag", "option dest type choices default required help",
     defaults=(None, None, None, False, None),
@@ -216,7 +215,6 @@ COMMANDS = {
             _N, _K, _COLORS,
             Flag("--symmetry", "symmetry", choices=("none", "fix-vertex-0", "fix-clique"),
                  default="none"),
-            Flag("--amo", "amo", bool, default=False, help="add pairwise at-most-one clauses"),
             _OUT,
         ),
     ),
@@ -250,13 +248,10 @@ def build_parser():
         for dest, help_ in positionals:
             p.add_argument(dest, help=help_)
         for f in flags:
-            if f.type is bool:
-                p.add_argument(f.option, dest=f.dest, action="store_true", help=f.help)
-            else:
-                p.add_argument(
-                    f.option, dest=f.dest, type=f.type, choices=f.choices, default=f.default,
-                    required=f.required, help=f.help,
-                )
+            p.add_argument(
+                f.option, dest=f.dest, type=f.type, choices=f.choices, default=f.default,
+                required=f.required, help=f.help,
+            )
         p.set_defaults(func=func)
     return parser
 
@@ -265,8 +260,8 @@ def _parse_fast(argv: list[str]):
     """argparse's namespace for an exact, complete command line, else None.
 
     The line must be a known command, then its declared positionals (``-``
-    is one) and each of its flags at most once, spelled in full, a flag that
-    takes a value followed by one that does not start with ``-``.  Values are
+    is one) and each of its flags at most once, spelled in full and followed
+    by a value that does not start with ``-``.  Values are
     converted and checked against choices as argparse does, and every
     required flag must be present.  Every other line, which includes help,
     abbreviations, ``--flag=value``, repeated flags, negative numbers, ``--``
@@ -288,9 +283,6 @@ def _parse_fast(argv: list[str]):
         if f is None or token in seen:
             return None
         seen.add(token)
-        if f.type is bool:
-            values[f.dest] = True
-            continue
         value = next(tokens, "-")  # a missing value is turned down as a dash is
         if value[:1] == "-":
             return None

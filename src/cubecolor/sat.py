@@ -2,8 +2,9 @@
 
 Variable var(v, c) = v*K + c is "vertex v has color c" for v in [0, 2^n) and
 c in 1..K.  One generator, _blocks, fixes the clause order (at-least-one by
-vertex, conflict clauses by (pair, color), optional at-most-one by vertex,
-symmetry units last), so generated files are byte-identical across runs.
+vertex, conflict clauses by (pair, color), symmetry units last), so generated
+files are byte-identical across runs.  At-most-one clauses would never change
+satisfiability, as decode_model takes each vertex's smallest true color.
 The CLI's encode streams each block's text through dimacs_block_lines;
 encode_coloring_cnf and write_dimacs, plain code over clause tuples, are the
 reference the tests hold it to.  The clauses are valid by construction
@@ -15,10 +16,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 from .coloring import Coloring, coloring_from_classes
-from .files import content_lines, parse_ints
+from .files import ColoringParseError, content_lines, parse_ints
 from .hamming import Params, ball_masks, ball_size
 
 SYMMETRY_NONE = "none"
@@ -56,72 +56,69 @@ class CnfFormula(namedtuple("CnfFormula", "num_vars clauses comments")):
         return super().__new__(cls, num_vars, tuple(map(tuple, clauses)), tuple(comments))
 
 
-class EncodeOptions(namedtuple("EncodeOptions", "at_most_one symmetry")):
-    __slots__ = ()
-
-    def __new__(cls, at_most_one: bool = False, symmetry: str = SYMMETRY_NONE) -> EncodeOptions:
-        if symmetry not in SYMMETRIES:
-            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
-        return super().__new__(cls, at_most_one, symmetry)
-
-
 def var_index(v: int, c: int, num_colors: int) -> int:
     """1-based CNF variable for "vertex v has color c", c in 1..num_colors."""
     return v * num_colors + c
 
 
-def encode_coloring_cnf(params: Params, options: EncodeOptions | None = None) -> CnfFormula:
+def encode_coloring_cnf(params: Params, symmetry: str = SYMMETRY_NONE) -> CnfFormula:
     """CNF satisfiable iff Q_n^k admits a proper num_colors-coloring.
 
     At-least-one clauses make every vertex colored; conflict clauses forbid a
-    shared color on every pair at distance 1..k.  At-most-one clauses are
-    redundant for satisfiability (decoding just picks the smallest true
-    color), so they default off; some solvers still like them.  fix-clique
-    pins the radius-floor(k/2) ball around vertex 0, which is a clique of
-    Q_n^k, to colors 1, 2, ...
+    shared color on every pair at distance 1..k.  fix-clique pins the
+    radius-floor(k/2) ball around vertex 0, which is a clique of Q_n^k, to
+    colors 1, 2, ...; fix-vertex-0 is the same rule at radius 0, pinning
+    vertex 0 to color 1.
     """
-    comments, num_vars, _, blocks = coloring_cnf_stream(params, options)
+    comments, num_vars, _, blocks = coloring_cnf_stream(params, symmetry)
     return CnfFormula(num_vars, _clauses(blocks, params.num_colors), comments)
 
 
 def coloring_cnf_stream(
-    params: Params, options: EncodeOptions | None = None
+    params: Params, symmetry: str = SYMMETRY_NONE
 ) -> tuple[tuple[str, ...], int, int, Iterator[Block]]:
     """(comments, num_vars, num_clauses, blocks) of encode_coloring_cnf's
     formula, with blocks (see _blocks) a generator that holds one at a time.
 
-    Every check on params and options runs here, before the first block is
+    Every check on params and symmetry runs here, before the first block is
     generated, so a writer of the stream never leaves a partial file behind.
     """
-    options = options or EncodeOptions()
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
-    count = expected_clause_count(params, options)  # raises when num_colors is None
+    count = expected_clause_count(params, symmetry)  # raises on num_colors None, a bad symmetry
     num_vars = size * num_colors
     for what, amount in (("clauses", count), ("variables", num_vars)):
         if amount > MAX_CLAUSES:
             raise ValueError(
                 f"encoding would build {amount} {what}, above the limit of {MAX_CLAUSES}"
             )
-    clique_size = ball_size(n, k // 2)
-    if options.symmetry == SYMMETRY_FIX_CLIQUE and num_colors < clique_size:
-        raise ValueError(f"fix-clique needs at least {clique_size} colors, got {num_colors}")
+    radius = _pin_radius(k, symmetry)
+    pins = 0 if radius is None else ball_size(n, radius)
+    if num_colors < pins:
+        raise ValueError(f"{symmetry} needs at least {pins} colors, got {num_colors}")
 
     comments = (
         f"power-{k} coloring of the {n}-cube with {num_colors} colors",
-        f"n={n} k={k} colors={num_colors} at_most_one={options.at_most_one}"
-        f" symmetry={options.symmetry}",
+        f"n={n} k={k} colors={num_colors} at_most_one=False symmetry={symmetry}",
         f"var(v,c) = v*{num_colors} + c, v in 0..{size - 1}, c in 1..{num_colors}",
     )
-    return comments, num_vars, count, _blocks(params, options)
+    return comments, num_vars, count, _blocks(params, radius)
 
 
-def _blocks(params: Params, options: EncodeOptions) -> Iterator[Block]:
+def _pin_radius(k: int, symmetry: str) -> int | None:
+    """Radius of the ball around 0, a clique, that symmetry pins to colors 1, 2, ..., if any."""
+    if symmetry not in SYMMETRIES:
+        raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
+    return {SYMMETRY_FIX_VERTEX_0: 0, SYMMETRY_FIX_CLIQUE: k // 2}.get(symmetry)
+
+
+def _blocks(params: Params, radius: int | None) -> Iterator[Block]:
     """The clauses of the coloring formula in their fixed order, as blocks that
     _clauses expands into tuples and dimacs_block_lines into text: ("or", a, b)
     is the clause (a, ..., b - 1), and with base_v = v*K = var(v, c) - c,
     ("edges", base_u, [base_v, ...]) the K clauses (-var(u, c), -var(v, c)) of
-    each pair u < v in turn and ("amo", base_v, 0) v's at-most-one pairs."""
+    each pair u < v in turn.  The unit clauses of the symmetry pins, the ball
+    of the given radius around vertex 0 (see _pin_radius), come last."""
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
     bases = range(0, size * num_colors, num_colors)
@@ -134,14 +131,8 @@ def _blocks(params: Params, options: EncodeOptions) -> Iterator[Block]:
         if above:  # every block holds a clause, so k = 0 has no edges block
             yield "edges", bases[u], above
 
-    if options.at_most_one:
-        for base in bases:
-            yield "amo", base, 0
-
-    if options.symmetry == SYMMETRY_FIX_VERTEX_0:
-        yield "or", 1, 2  # the unit clause var(0, 1)
-    elif options.symmetry == SYMMETRY_FIX_CLIQUE:
-        clique = [0, *ball_masks(n, k // 2)]  # pairwise distances <= 2*(k//2) <= k
+    if radius is not None:
+        clique = [0, *ball_masks(n, radius)]  # pairwise distances <= 2*radius <= k
         for c, w in enumerate(clique, start=1):
             yield "or", bases[w] + c, bases[w] + c + 1
 
@@ -149,14 +140,12 @@ def _blocks(params: Params, options: EncodeOptions) -> Iterator[Block]:
 def _clauses(blocks: Iterable[Block], num_colors: int) -> Iterator[tuple[int, ...]]:
     """The clauses of the blocks as tuples, one at a time, with no call per literal."""
     for kind, a, b in blocks:
-        negated = range(-a - 1, -a - num_colors - 1, -1)  # -(a + 1), ..., -(a + num_colors)
-        if kind == "edges":
-            for v in b:
-                yield from zip(negated, range(-v - 1, -v - num_colors - 1, -1))
-        elif kind == "or":
+        if kind == "or":
             yield tuple(range(a, b))
         else:
-            yield from combinations(negated, 2)
+            negated = range(-a - 1, -a - num_colors - 1, -1)  # -(a + 1), ..., -(a + num_colors)
+            for v in b:
+                yield from zip(negated, range(-v - 1, -v - num_colors - 1, -1))
 
 
 def dimacs_block_lines(
@@ -173,32 +162,23 @@ def dimacs_block_lines(
     for kind, a, b in blocks:
         if kind == "or":
             yield ("%s " * (b - a) + "0\n") % tuple(range(a, b))
-        elif kind == "edges":
+        else:
             template = "".join([f"-{x} -%d 0\n" for x in range(a + 1, a + span)])
             for v in b:
                 yield template % tuple(range(v + 1, v + span))
-        else:
-            lits = [f"-{x}" for x in range(a + 1, a + span)]
-            yield "".join([f"{x} {y} 0\n" for x, y in combinations(lits, 2)])
 
 
-def expected_clause_count(params: Params, options: EncodeOptions | None = None) -> int:
+def expected_clause_count(params: Params, symmetry: str = SYMMETRY_NONE) -> int:
     """Closed-form clause count: the streamed DIMACS header's count, checked
     against the clauses generated in the tests."""
-    options = options or EncodeOptions()
+    radius = _pin_radius(params.k, symmetry)
     if params.num_colors is None:
         raise ValueError("encoding needs params.num_colors")
     n, k, num_colors = params.n, params.k, params.num_colors
     size = 1 << n
     pairs = size * (ball_size(n, k) - 1) // 2
     total = size + num_colors * pairs
-    if options.at_most_one:
-        total += size * num_colors * (num_colors - 1) // 2
-    if options.symmetry == SYMMETRY_FIX_VERTEX_0:
-        total += 1
-    elif options.symmetry == SYMMETRY_FIX_CLIQUE:
-        total += ball_size(n, k // 2)
-    return total
+    return total if radius is None else total + ball_size(n, radius)
 
 
 def write_dimacs(f: CnfFormula) -> str:
@@ -230,14 +210,21 @@ def decode_model(true_vars: set[int], params: Params) -> Coloring:
 
 
 def parse_solver_model(text: str) -> set[int]:
-    """Read a model in the common solver output convention.
+    """Read a model in the common solver output conventions.
 
-    Lines of signed integers terminated by 0; "v " prefixes are stripped;
-    comment ("c") and status ("s") lines are ignored.  Positive literals
-    become true variables, negatives are recorded as false by omission.
+    Lines of signed integers terminated by 0; "v " prefixes are stripped and
+    comment ("c") lines are ignored.  Positive literals become true
+    variables, negatives are recorded as false by omission.  The verdict
+    "s SATISFIABLE", or MiniSat's and Glucose's "SAT", is skipped; any other
+    ("UNSAT", "INDET", "s UNKNOWN", ...) is a ColoringParseError.
     """
     true_vars: set[int] = set()
-    for lineno, line in content_lines(text, "cs"):
+    for lineno, line in content_lines(text, "c"):
+        verdict = line.split()
+        if verdict[0] in ("s", "SAT", "UNSAT", "INDET"):
+            if verdict not in (["s", "SATISFIABLE"], ["SAT"]):
+                raise ColoringParseError(f"line {lineno}: no model, the solver says {line!r}")
+            continue
         if line.startswith("v"):
             line = line[1:]
         true_vars.update(lit for lit in parse_ints(line.split(), lineno) if lit > 0)

@@ -109,8 +109,9 @@ class SearchOutcome(
 
     conflicts is conflict_count(best).  seed_used is the seed of the restart
     that produced best, so rerunning with rng_seed=seed_used, restarts=0
-    reproduces it bit-exactly.  restarts_used is the index of the last restart
-    executed; iterations_used sums iterations over all executed restarts.
+    reproduces it bit-exactly (without init, if best came from a later
+    restart).  restarts_used is the index of the last restart executed;
+    iterations_used sums iterations over all executed restarts.
     """
 
     __slots__ = ()
@@ -207,9 +208,9 @@ def tabu_search(
     """Fixed-K tabu search minimizing the number of conflicting pairs.
 
     Restart r starts from init (r = 0, when given) or from uniform random
-    colors drawn from random.Random(rng_seed + r).  Stops early when a
-    restart reaches zero conflicts.  Deterministic given (params, config,
-    init).
+    colors drawn from random.Random(rng_seed + r), which then makes its
+    moves.  Stops early when a restart reaches zero conflicts.  Deterministic
+    given (params, config, init).
     """
     if params.num_colors is None:
         raise ValueError("tabu_search needs params.num_colors")
@@ -228,7 +229,7 @@ def tabu_search(
     unfixed = [[0] * (num_colors + 1)] * params.num_words  # one shared row, never written
     best, *counts = _restarts(
         num_colors, ball_masks(params.n, params.k), unfixed, config,
-        None if init is None else init.color_of,
+        lambda r: None if r or init is None else list(init.color_of),
     )
     return SearchOutcome(Assignment(params, best), *counts)
 
@@ -247,8 +248,10 @@ def extend_to_higher_dim(
 
     "freeze-subcube" keeps the lower copy fixed at base's colors and runs the
     tabu search with num_colors colors on the upper copy, a Q_n^k whose word
-    x sees the lower words x ^ m, |m| < k, as fixed neighbors.  The returned
-    conflict count may be positive, there is no success guarantee.
+    x sees the lower words x ^ m, |m| < k, as fixed neighbors.  Restart r
+    draws that copy's colors from random.Random(rng_seed + r), then moves on
+    a fresh generator of the same seed.  The returned conflict count may be
+    positive, there is no success guarantee.
     """
     if not verify_coloring(base).valid:
         raise ValueError("base coloring is not valid")
@@ -288,9 +291,11 @@ def extend_to_higher_dim(
         for x, row in enumerate(fixed):
             for m in fixed_masks:
                 row[base_colors[x ^ m]] += 1
-        rng = random.Random(config.rng_seed)
-        first = [rng.randrange(1, num_colors + 1) for _ in base_colors]
-        best, *counts = _restarts(num_colors, ball_masks(n, k), fixed, config, first)
+
+        def draw(r: int) -> list[int]:  # from its own generator, which then makes the moves
+            rng = random.Random(config.rng_seed + r)
+            return [rng.randrange(1, num_colors + 1) for _ in base_colors]
+        best, *counts = _restarts(num_colors, ball_masks(n, k), fixed, config, draw)
         return SearchOutcome(Assignment(params_out, base_colors + best), *counts)
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Callable
 from itertools import accumulate, chain
 
 # search.SearchConfig is named in annotations only: the kernel imports no cubecolor module.
@@ -366,14 +367,14 @@ def _tabu_run(
 
 def _restarts(
     num_colors: int, masks: list[int], fixed: list[list[int]], config: SearchConfig,
-    first: list[int] | None,
+    start: Callable[[int], list[int] | None],
 ) -> tuple[list[int], int, int, int, int]:
     """The restart loop of tabu_search and of the lift, over one vertex per row of fixed.
 
     Returns the fields of a SearchOutcome, best being a color list.  Restart
-    r starts from first (r = 0, when given) or from uniform random colors
-    drawn from random.Random(rng_seed + r), then runs _tabu_run on that
-    generator.  Stops early when a restart reaches zero conflicts.
+    r runs _tabu_run on random.Random(rng_seed + r) from the new list
+    start(r) or, where that is None, from uniform random colors drawn first
+    from that generator.  Stops early when a restart reaches zero conflicts.
     """
     rows = _neighbor_rows(masks, len(fixed))  # shared by every restart
     best_colors: list[int] = []
@@ -383,10 +384,7 @@ def _restarts(
     for r in range(config.restarts + 1):
         seed_r = config.rng_seed + r
         rng = random.Random(seed_r)
-        if first is not None and r == 0:
-            colors = list(first)
-        else:
-            colors = [rng.randrange(1, num_colors + 1) for _ in fixed]
+        colors = start(r) or [rng.randrange(1, num_colors + 1) for _ in fixed]
         run_best, run_conflicts, iters = _tabu_run(colors, num_colors, rows, fixed, rng, config)
         total_iters += iters
         if r == 0 or run_conflicts < best_conflicts:

@@ -187,6 +187,12 @@ def test_exact_argument_validation():
         exact_max_code_size(5, 3, budget=0)
 
 
+def test_exact_rejects_dimensions_above_the_word_limit():
+    # The closed forms would answer at once, with an int that grows with n.
+    with pytest.raises(ValueError, match="dimension must be in 1..24, got 25"):
+        exact_max_code_size(25, 1)
+
+
 def test_exact_closed_forms_hold_beyond_the_search_range():
     assert exact_max_code_size(20, 1) == (2**20, STATUS_EXACT)
     assert exact_max_code_size(20, 2) == (2**19, "exact")

@@ -25,7 +25,7 @@ from cubecolor.coloring import coloring_from_classes, fingerprint, verify_colori
 from cubecolor.files import ColoringParseError, load_coloring, save_coloring
 from cubecolor.fixture import q8_square_13_coloring
 from cubecolor.hamming import Params
-from cubecolor.sat import SYMMETRIES, EncodeOptions, encode_coloring_cnf, write_dimacs
+from cubecolor.sat import SYMMETRIES, encode_coloring_cnf, write_dimacs
 from cubecolor.search import SearchConfig
 
 Q3_TEXT = "n 3\nk 2\nclasses 4\nclass 0 7\nclass 1 6\nclass 2 5\nclass 3 4\n"
@@ -351,6 +351,21 @@ def test_cli_extend_double(q3_file, tmp_path, capsys):
     assert verify_coloring(col).valid
 
 
+@pytest.mark.parametrize(
+    "argv, run_line",
+    [
+        (["--strategy", "double"], "iterations: 0 restarts: 0 seed: 0"),
+        (["--strategy", "double", "--seed", "5"], "iterations: 0 restarts: 0 seed: 5"),
+        (["--strategy", "freeze-subcube", "--colors", "4", "--seed", "3", "--max-iters", "20",
+          "--restarts", "2"], "iterations: 60 restarts: 2 seed: 3"),
+    ],
+)
+def test_cli_extend_prints_the_run_line_search_prints(q3_file, tmp_path, capsys, argv, run_line):
+    main(["extend", "--in", q3_file, *argv, "--out", str(tmp_path / "q4.txt")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == run_line and lines[-2].startswith("conflicts: ")
+
+
 def test_cli_extend_freeze_subcube(q3_file, tmp_path, capsys):
     out_path = tmp_path / "q4.txt"
     rc = main(
@@ -403,14 +418,12 @@ def test_cli_decode_model_of_an_invalid_coloring_exits_1(tmp_path, capsys):
     assert load_coloring(out_path.read_text()).classes == col.classes
 
 
-@pytest.mark.parametrize("amo", [False, True])
 @pytest.mark.parametrize("symmetry", SYMMETRIES)
-def test_cli_encode_writes_the_library_dimacs(tmp_path, capsys, symmetry, amo):
+def test_cli_encode_writes_the_library_dimacs(tmp_path, capsys, symmetry):
     cnf_path = tmp_path / "q3.cnf"
     argv = ["encode", "--n", "3", "--k", "2", "--colors", "4", "--symmetry", symmetry]
-    assert main(argv + ["--amo"] * amo + ["--out", str(cnf_path)]) == 0
-    options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
-    expected = write_dimacs(encode_coloring_cnf(Params(3, 2, 4), options))
+    assert main(argv + ["--out", str(cnf_path)]) == 0
+    expected = write_dimacs(encode_coloring_cnf(Params(3, 2, 4), symmetry))
     assert cnf_path.read_bytes() == expected.encode()
 
 
@@ -478,21 +491,58 @@ def test_cli_encode_writes_the_library_formula_byte_for_byte(tmp_path_factory, s
     n = rng.randrange(1, 7)
     k = rng.randrange(0, n + 1)
     colors = rng.randrange(1, min(1 << n, 20) + 1)
-    amo = rng.random() < 0.5
     symmetry = rng.choice(SYMMETRIES)
-    params, options = Params(n, k, colors), EncodeOptions(at_most_one=amo, symmetry=symmetry)
     cnf_path = tmp_path_factory.mktemp("encode") / "out.cnf"
     argv = ["encode", "--n", str(n), "--k", str(k), "--colors", str(colors),
-            "--symmetry", symmetry, *(["--amo"] if amo else []), "--out", str(cnf_path)]
+            "--symmetry", symmetry, "--out", str(cnf_path)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     try:
-        expected = write_dimacs(encode_coloring_cnf(params, options))
+        expected = write_dimacs(encode_coloring_cnf(Params(n, k, colors), symmetry))
     except ValueError:  # fix-clique with fewer colors than the clique
         assert code == 2 and not cnf_path.exists()
         return
     assert code == 0
     assert cnf_path.read_bytes() == expected.encode()
+
+
+def test_cli_decode_model_reads_a_minisat_result_file(tmp_path, capsys):
+    # MiniSat and Glucose write the verdict, then the literals on one line.
+    col = q8_square_13_coloring()
+    model_path = tmp_path / "model.txt"
+    lits = sorted(oracles.coloring_to_model(col))
+    model_path.write_text("SAT\n" + " ".join(map(str, lits)) + " 0\n")
+    out_path = tmp_path / "decoded.txt"
+    rc = main(
+        ["decode-model", "--n", "8", "--k", "2", "--colors", "13",
+         "--model", str(model_path), "--out", str(out_path)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["decoded 13 classes", "status: valid"]
+    assert load_coloring(out_path.read_text()).classes == col.classes
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("UNSAT\n", "line 1: no model, the solver says 'UNSAT'"),
+        ("INDET\n", "line 1: no model, the solver says 'INDET'"),
+        ("c solver\ns UNSATISFIABLE\n", "line 2: no model, the solver says 's UNSATISFIABLE'"),
+        ("c solver\n\ns UNKNOWN\nv 1 0\n", "line 3: no model, the solver says 's UNKNOWN'"),
+    ],
+    ids=["UNSAT", "INDET", "s UNSATISFIABLE", "s UNKNOWN"],
+)
+def test_cli_decode_model_names_a_verdict_without_a_model(tmp_path, capsys, text, where):
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(text)
+    out_path = tmp_path / "decoded.txt"
+    rc = main(
+        ["decode-model", "--n", "3", "--k", "2", "--colors", "4",
+         "--model", str(model_path), "--out", str(out_path)]
+    )
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {where}\n")
+    assert not out_path.exists()
 
 
 def test_cli_decode_model_incomplete_is_error(tmp_path, capsys):
@@ -701,7 +751,7 @@ def test_each_entry_point_loads_only_what_it_runs(argv, unloaded, q3_file, tmp_p
 
 
 def test_package_exports_resolve_to_their_home_objects():
-    assert len(cubecolor.__all__) == 44
+    assert len(cubecolor.__all__) == 43
     listed = dir(cubecolor)
     for name in cubecolor.__all__:
         value = getattr(cubecolor, name)
@@ -795,9 +845,7 @@ def _well_formed(draw):
     for flag in flags:
         if not flag.required and draw(st.booleans()):
             continue
-        if flag.type is bool:
-            groups.append([flag.option])
-        elif flag.choices is not None:
+        if flag.choices is not None:
             groups.append([flag.option, draw(st.sampled_from(flag.choices))])
         elif flag.type is int:
             groups.append([flag.option, str(draw(st.integers(0, 20)))])

@@ -13,7 +13,6 @@ from cubecolor.hamming import Params
 from cubecolor.sat import (
     MAX_CLAUSES,
     CnfFormula,
-    EncodeOptions,
     ModelDecodeError,
     decode_model,
     encode_coloring_cnf,
@@ -50,8 +49,9 @@ def test_clause_fault_oracle(clause, fault):
 
 
 def test_encode_options_validation():
-    with pytest.raises(ValueError):
-        EncodeOptions(symmetry="mirror")
+    for build in (encode_coloring_cnf, expected_clause_count):
+        with pytest.raises(ValueError, match="symmetry must be one of"):
+            build(Q3_PARAMS, "mirror")
 
 
 def test_encode_requires_color_count_and_small_n():
@@ -96,13 +96,11 @@ def test_encode_tiny_instance_exact_clauses():
 
 
 @pytest.mark.parametrize("n,k,colors", [(1, 1, 2), (2, 1, 2), (2, 2, 4), (3, 2, 4), (4, 2, 8)])
-@pytest.mark.parametrize("amo", [False, True])
 @pytest.mark.parametrize("symmetry", ["none", "fix-vertex-0", "fix-clique"])
-def test_clause_count_matches_closed_form(n, k, colors, amo, symmetry):
+def test_clause_count_matches_closed_form(n, k, colors, symmetry):
     params = Params(n, k, colors)
-    options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
-    f = encode_coloring_cnf(params, options)
-    assert len(f.clauses) == expected_clause_count(params, options)
+    f = encode_coloring_cnf(params, symmetry)
+    assert len(f.clauses) == expected_clause_count(params, symmetry)
     assert f.num_vars == (1 << n) * colors
     assert [cl for cl in f.clauses if oracles.clause_fault(cl, f.num_vars)] == []
 
@@ -110,11 +108,11 @@ def test_clause_count_matches_closed_form(n, k, colors, amo, symmetry):
 def test_fix_clique_rejects_too_few_colors():
     # radius-1 ball around 0 in Q_3^2 has 4 words, so 3 colors cannot pin it
     with pytest.raises(ValueError):
-        encode_coloring_cnf(Params(3, 2, 3), EncodeOptions(symmetry="fix-clique"))
+        encode_coloring_cnf(Params(3, 2, 3), "fix-clique")
 
 
 def test_fix_clique_pins_the_ball_around_zero():
-    f = encode_coloring_cnf(Q3_PARAMS, EncodeOptions(symmetry="fix-clique"))
+    f = encode_coloring_cnf(Q3_PARAMS, "fix-clique")
     units = [cl for cl in f.clauses if len(cl) == 1]
     assert units == [
         (var_index(0, 1, 4),),
@@ -125,7 +123,7 @@ def test_fix_clique_pins_the_ball_around_zero():
 
 
 def test_dimacs_round_trip():
-    f = encode_coloring_cnf(Q3_PARAMS, EncodeOptions(at_most_one=True, symmetry="fix-vertex-0"))
+    f = encode_coloring_cnf(Q3_PARAMS, "fix-vertex-0")
     text = write_dimacs(f)
     comments, num_vars, num_clauses, clauses = oracles.read_dimacs(text)
     assert (comments, num_vars, num_clauses) == (list(f.comments), f.num_vars, len(f.clauses))
@@ -149,21 +147,19 @@ def test_dimacs_writes_any_hand_built_formula_literal_for_literal():
 
 
 @pytest.mark.parametrize(
-    "n,k,colors,amo,symmetry,digest",
+    "n,k,colors,symmetry,digest",
     [
-        (4, 2, 5, False, "none", "b73e966a84004e5a07c95ba97a8bf8fad71ebc65648ceddbef9ddf58e46fc7c4"),
-        (4, 2, 5, False, "fix-clique", "576815501a2823140017d663c54b23f3397a059ae751caa81b4302d99b7b3eeb"),
-        (5, 3, 9, True, "fix-clique", "afe755471eea723a7969bad1cabcce63d43b9ed7672675bed156869adab49bad"),
-        (6, 2, 8, True, "fix-vertex-0", "d3786a83c4e1b23078bc5d3571336409a15c14e5f64c3f281cd3462a8b63c35d"),
-        (5, 0, 2, False, "none", "15754a993317682a46a9db19f9123231b9972acff5ab6d7ec34b2cd21a19bead"),
+        (4, 2, 5, "none", "b73e966a84004e5a07c95ba97a8bf8fad71ebc65648ceddbef9ddf58e46fc7c4"),
+        (4, 2, 5, "fix-clique", "576815501a2823140017d663c54b23f3397a059ae751caa81b4302d99b7b3eeb"),
+        (5, 3, 9, "fix-clique", "62aab102812960d140535f4a23dcbf362a00bc6ea926413d20787976cf6cc44b"),
+        (6, 2, 8, "fix-vertex-0", "76c0cb46f651821bbeb74bf1a8a35274f8f0a61b15296ac9a81d2e75251fcf22"),
+        (5, 0, 2, "none", "15754a993317682a46a9db19f9123231b9972acff5ab6d7ec34b2cd21a19bead"),
     ],
 )
-def test_dimacs_bytes_are_pinned(n, k, colors, amo, symmetry, digest):
+def test_dimacs_bytes_are_pinned(n, k, colors, symmetry, digest):
     # Clause order is part of the encoder's contract: any change to how the
-    # conflict pairs, at-most-one pairs or symmetry units are enumerated
-    # changes these hashes.
-    options = EncodeOptions(at_most_one=amo, symmetry=symmetry)
-    text = write_dimacs(encode_coloring_cnf(Params(n, k, colors), options))
+    # conflict pairs or symmetry units are enumerated changes these hashes.
+    text = write_dimacs(encode_coloring_cnf(Params(n, k, colors), symmetry))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -177,19 +173,6 @@ def test_conflicting_assignment_falsifies_formula():
     # all vertices color 1: every conflict clause on color 1 breaks
     model = {var_index(v, 1, 4) for v in range(8)}
     assert not oracles.evaluate(f, model)
-
-
-def test_amo_clauses_forbid_double_colors():
-    # Even/odd 2-coloring of Q_3^1 encoded with a spare third color: setting
-    # vertex 0 true in the unused color breaks no conflict clause, so only
-    # the at-most-one clauses reject the doubled assignment.
-    params = Params(3, 1, 3)
-    col = coloring_from_classes(params, [[0, 3, 5, 6], [1, 2, 4, 7], []])
-    plain = encode_coloring_cnf(params)
-    strict = encode_coloring_cnf(params, EncodeOptions(at_most_one=True))
-    doubled = oracles.coloring_to_model(col) | {var_index(0, 3, 3)}
-    assert oracles.evaluate(plain, doubled)
-    assert not oracles.evaluate(strict, doubled)
 
 
 def test_model_round_trip():

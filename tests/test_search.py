@@ -372,6 +372,23 @@ def test_extend_freeze_subcube_small():
     assert out.best.color_of[:8] == base_colors
 
 
+@pytest.mark.parametrize(
+    "num_colors,seed,restarts,budget", [(15, 1, 4, 300), (14, 0, 5, 500), (16, 3, 3, 200)]
+)
+def test_lift_seed_used_reruns_its_best_restart(num_colors, seed, restarts, budget):
+    # Each case's best comes from a later restart, which must draw its free
+    # half and make its moves as restart 0 does, so that seed alone reruns it.
+    base = q8_square_13_coloring()
+    out = extend_to_higher_dim(
+        base, "freeze-subcube", num_colors, SearchConfig(seed, budget, restarts)
+    )
+    assert out.seed_used > seed
+    rerun = extend_to_higher_dim(
+        base, "freeze-subcube", num_colors, SearchConfig(out.seed_used, budget, 0)
+    )
+    assert (rerun.best.color_of, rerun.conflicts) == (out.best.color_of, out.conflicts)
+
+
 def test_extend_freeze_subcube_validation():
     with pytest.raises(ValueError):
         extend_to_higher_dim(Q3_COLORING, "freeze-subcube")
@@ -456,9 +473,9 @@ GOLDEN_TRAJECTORIES = {
             config=SearchConfig(rng_seed=7, max_iterations=2_000, restarts=3),
         ),
         [
-            7, 8000, 3, 8,
-            "50e17aea1f38c269a92438c0b01a1f98b8aa01e9756447964a7958bfa84b5bf4",
-            "aec10db142173769885622969fa578c382f59b63dca878e0366aeec4d0076e11",
+            8, 8000, 3, 9,
+            "3eef744bc4c4965e0e9f5d7a453f6b4b95d1bf3362e9265b79bb22779ad8b782",
+            "150c22d297e5131e4bef3a621407eae1dfede5a10d7c48f989aca9544169ef66",
         ],
     ),
     "q9-freeze15-s0": (

@@ -19,7 +19,7 @@ from cubecolor.coloring import (
     coloring_from_classes,
 )
 from cubecolor.hamming import Automorphism, Params
-from cubecolor.sat import CnfFormula, EncodeOptions
+from cubecolor.sat import CnfFormula
 from cubecolor.search import SearchConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,11 +73,6 @@ FROZEN_TYPES = [
     pytest.param(
         lambda: CnfFormula(num_vars=2, clauses=[[1, -2]], comments=["c"]),
         lambda: CnfFormula(2, [[1, -2]]), "clauses", None, None, id="CnfFormula",
-    ),
-    pytest.param(
-        lambda: EncodeOptions(at_most_one=True, symmetry="fix-clique"), lambda: EncodeOptions(),
-        "symmetry", lambda: EncodeOptions(symmetry="x"), "symmetry must be one of",
-        id="EncodeOptions",
     ),
     pytest.param(
         lambda: SearchConfig(rng_seed=3, restarts=2), lambda: SearchConfig(),
