@@ -11,6 +11,7 @@ sweeps without confusing "try again" with "broken".
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -114,6 +115,9 @@ def cmd_search(args) -> int:
 def cmd_extend(args) -> int:
     from .search import extend_to_higher_dim
 
+    given = [f.option for f in _SEARCH_CONFIG if getattr(args, f.dest) is not None]
+    if args.strategy == "double" and given:
+        raise ValueError(f"--strategy double runs no search; it takes no {', '.join(given)}")
     base = _load(args.infile)
     outcome = extend_to_higher_dim(
         base, args.strategy, num_colors=args.colors, config=_search_config(args)
@@ -320,5 +324,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: main(), then gc.freeze() on every way out, so the
+    exit-time collections skip the heap.  main() itself never freezes."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

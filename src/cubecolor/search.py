@@ -1,10 +1,10 @@
 """Heuristic construction of colorings: greedy, DSATUR, tabu search, lifting.
 
 All heuristics walk Q_n^k as a Cayley graph: the neighbors of v are v ^ m
-for the masks m of hamming.ball_masks(n, k), XORed afresh by greedy and
-DSATUR.  tabu_search and the freeze-subcube lift run the kernel of
-cubecolor.tabu, imported on first use, which tabulates them once per call:
-greedy, DSATUR and the double lift never load it.
+for the masks m of hamming.ball_masks(n, k); DSATUR XORs them afresh, and
+greedy XORs whole cosets.  tabu_search and the freeze-subcube lift run the
+kernel of cubecolor.tabu, imported on first use, which tabulates them once
+per call: greedy, DSATUR and the double lift never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from .coloring import Coloring, coloring_from_classes, verify_coloring
 from .hamming import Params, ball_masks, ball_size
 
-#: color_of entry for a vertex not colored yet, while greedy, DSATUR or
+#: color_of entry for a vertex not colored yet, while DSATUR or
 #: assignment_from_coloring fills the list; an Assignment never holds it.
 UNASSIGNED = 0
 
@@ -130,22 +130,22 @@ def conflict_count(a: Assignment) -> int:
 
 
 def greedy_color(params: Params) -> Coloring:
-    """First-fit coloring in ascending vertex order.
+    """First-fit coloring in ascending vertex order: the cosets of the lexicode.
 
-    Always valid; uses at most 1 + (ball_size(n, k) - 1) colors since a vertex
-    never needs more than its degree + 1.
+    Color - 1 is linear over GF(2) in the word (Conway & Sloane 1986): word 2^i
+    takes the least color unused below it at weight < k, and words
+    2^i..2^(i+1) - 1 follow by XOR.  Always valid: at most ball_size(n, k) colors.
     """
-    size = params.num_words
-    _check_memory("greedy coloring", 160 * size + 480 * ball_size(params.n, params.k))
-    masks = ball_masks(params.n, params.k)
-    color_of = [UNASSIGNED] * size
-    for v in range(size):
-        used = {color_of[v ^ m] for m in masks}  # UNASSIGNED is never a color
-        c = 1
+    n, k = params.n, params.k
+    _check_memory("greedy coloring", 160 * params.num_words + 480 * ball_size(n, k))
+    low = [0]  # color - 1 of the words below 2^i
+    for _ in range(n):
+        used = {c for u, c in enumerate(low) if u.bit_count() < k}
+        c = 0
         while c in used:
             c += 1
-        color_of[v] = c
-    return Assignment(Params(params.n, params.k), color_of).to_coloring()
+        low += [x ^ c for x in low]
+    return Assignment(Params(n, k), [c + 1 for c in low]).to_coloring()
 
 
 def dsatur_color(params: Params) -> Coloring:

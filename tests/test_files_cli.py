@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -355,7 +356,7 @@ def test_cli_extend_double(q3_file, tmp_path, capsys):
     "argv, run_line",
     [
         (["--strategy", "double"], "iterations: 0 restarts: 0 seed: 0"),
-        (["--strategy", "double", "--seed", "5"], "iterations: 0 restarts: 0 seed: 5"),
+        (["--strategy", "double", "--colors", "8"], "iterations: 0 restarts: 0 seed: 0"),
         (["--strategy", "freeze-subcube", "--colors", "4", "--seed", "3", "--max-iters", "20",
           "--restarts", "2"], "iterations: 60 restarts: 2 seed: 3"),
     ],
@@ -364,6 +365,27 @@ def test_cli_extend_prints_the_run_line_search_prints(q3_file, tmp_path, capsys,
     main(["extend", "--in", q3_file, *argv, "--out", str(tmp_path / "q4.txt")])
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == run_line and lines[-2].startswith("conflicts: ")
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--restarts", "5", "--max-iters", "7", "--seed", "3"], "--seed, --max-iters, --restarts"),
+        (["--seed", "0"], "--seed"),
+        (["--max-iters", "100000"], "--max-iters"),
+        (["--restarts", "0"], "--restarts"),
+    ],
+)
+def test_cli_extend_double_refuses_the_tabu_flags(q3_file, tmp_path, capsys, flags, named):
+    # double runs no search, so a seed, budget or restart count it would only
+    # echo is refused, as greedy and DSATUR refuse --init; nothing is written.
+    out = tmp_path / "q4.txt"
+    rc = main(["extend", "--in", q3_file, "--strategy", "double", *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: --strategy double runs no search; it takes no {named}\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_extend_freeze_subcube(q3_file, tmp_path, capsys):
@@ -642,6 +664,71 @@ def test_cli_closed_stdout_exits_141_quietly(tmp_path, unbuffered):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+# --- The process entry point, cli.run() ---
+
+
+def _cli_child(*args):
+    """Run a fresh interpreter with the package importable; stdout and stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cubecolor.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_run_pipes_every_line_of_a_large_stats(tmp_path, capsys):
+    path = tmp_path / "q12.txt"
+    path.write_text(save_coloring(search.greedy_color(Params(12, 2))))
+    assert main(["stats", str(path)]) == 0
+    expected = capsys.readouterr().out
+    proc = _cli_child("-m", "cubecolor.cli", "stats", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    assert len(proc.stdout.splitlines()) == 18
+
+
+def test_run_reports_a_missing_file_on_stderr(tmp_path):
+    missing = tmp_path / "absent.txt"
+    proc = _cli_child("-m", "cubecolor.cli", "verify", str(missing))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_run_exits_2_from_argparse_on_an_unknown_flag():
+    proc = _cli_child("-m", "cubecolor.cli", "verify", "--frobnicate", "x")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("error: unrecognized arguments: --frobnicate\n")
+
+
+def test_run_leaves_the_profiler_its_report():
+    proc = _cli_child("-m", "cProfile", "-m", "cubecolor.cli", "fixture")
+    assert proc.returncode == 0, proc.stderr
+    text = save_coloring(q8_square_13_coloring())
+    assert proc.stdout.startswith(text)
+    assert " function calls " in proc.stdout[len(text):]
+
+
+def test_run_freezes_the_heap_and_exit_handlers_still_run(tmp_path):
+    # An atexit handler still runs, and sees the heap frozen; the process
+    # exits with main()'s code (1: every pair of the one class is too close).
+    path = tmp_path / "bad.txt"
+    path.write_text("n 3\nk 2\nclasses 1\nclass 0 1 2 3 4 5 6 7\n")
+    code = (
+        "import atexit, gc, sys; from cubecolor import cli; "
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+        f"sys.argv = ['cubecolor', 'verify', {str(path)!r}]; cli.run()"
+    )
+    proc = _cli_child("-c", code)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2:] == ["status: invalid (24 violations)", "frozen: True"]
+
+
+def test_main_in_process_never_freezes(q3_file, capsys):
+    assert main(["verify", q3_file]) == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "--frobnicate", "x"])
+    assert gc.get_freeze_count() == 0
 
 
 def test_cli_stdin_dash(capsys, monkeypatch):

@@ -83,6 +83,15 @@ def test_greedy_is_always_valid(n, k):
     assert len(col.classes) <= ball_size(n, k)  # degree + 1 bound
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 10) for k in range(n + 1)])
+def test_greedy_cosets_are_first_fit_in_word_order(n, k):
+    # greedy_color builds the lexicode's cosets by XOR; that must be what
+    # first fit gives when it scans every earlier word in natural order.
+    params = Params(n, k)
+    natural = oracles.first_fit(params, list(range(params.num_words)))
+    assert save_coloring(greedy_color(params)) == save_coloring(natural)
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 2), (5, 3), (6, 2)])
 def test_dsatur_is_always_valid(n, k):
     col = dsatur_color(Params(n, k))
